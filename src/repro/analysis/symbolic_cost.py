@@ -3,11 +3,10 @@
 ``analysis.complexity`` *measures* what a protocol spends — rounds,
 point-to-point messages, broadcasts, functionality responses — by
 running honest executions and counting transcript entries.  This module
-states the same quantities as **closed forms**: per-protocol sympy
-expressions in the symbols of the paper's cost analysis (party count
-``n``, release bit-length ``B``, the Gordon–Katz reveal-round parameter
-``R`` = ``gk_round_count(p, m)``), bound to a concrete protocol instance
-by :func:`evaluate`.
+states the same quantities as **closed forms** in the symbols of the
+paper's cost analysis (party count ``n``, release bit-length ``B``, the
+Gordon–Katz reveal-round parameter ``R`` = ``gk_round_count(p, m)``),
+bound to a concrete protocol instance by :func:`evaluate`.
 
 The models are used two ways:
 
@@ -23,13 +22,12 @@ The models are used two ways:
   across heterogeneous sweeps and dispatching the most expensive chunks
   first (LPT).
 
-sympy is a guarded dependency, exactly like numpy for the vectorized
-backend: when it is installed the closed forms are genuine sympy
-expressions (inspectable, printable, substitutable); when it is absent
-the same formulas evaluate through plain integer arithmetic, so
-:func:`evaluate` — and therefore the E21 claims and the scheduler —
-work identically either way.  Each formula is written once, as a Python
-callable that accepts either ints or sympy symbols.
+Each formula is written once, as a Python callable that accepts either
+ints or sympy symbols.  :func:`evaluate` calls it with ints: integer
+arithmetic only, so no run (E21, the scheduler, the CLI) ever loads
+sympy.  sympy is needed only to inspect the closed forms as expressions
+through :func:`symbolic` and :func:`gk_reveal_rounds_symbolic`, which
+import it when called.
 
 Honest-execution counting semantics (``measure_cost``): a transcript
 entry with a string sender is a functionality response, one with the
@@ -41,16 +39,12 @@ produced output.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-try:  # pragma: no cover - exercised implicitly by the fallback tests
-    import sympy
-
-    HAVE_SYMPY = True
-except ImportError:  # pragma: no cover
-    sympy = None
-    HAVE_SYMPY = False
+#: Whether :func:`symbolic` can run; looked up without importing sympy.
+HAVE_SYMPY = importlib.util.find_spec("sympy") is not None
 
 #: Symbol glossary (docs/architecture.md "Cost models and scheduling").
 SYMBOLS: Dict[str, str] = {
@@ -105,9 +99,10 @@ class CostModel:
     """One protocol family's closed forms plus its symbol binder.
 
     The four formula callables are polynomial in their parameters and
-    accept ints *or* sympy symbols — call them with symbols (see
-    :func:`symbolic`) to get the closed-form expression, with the
-    bound integers (see :func:`evaluate`) to get a prediction.
+    accept ints *or* sympy symbols.  :func:`evaluate` calls them with
+    the bound integers to get a prediction (integer arithmetic, no
+    sympy); :func:`symbolic` calls them with sympy symbols to get the
+    closed-form expressions for inspection.
     ``bind`` extracts the parameter values from a live protocol
     instance (e.g. ``R`` from ``GordonKatzProtocol.reveal_rounds``).
     """
@@ -202,14 +197,15 @@ def covered(protocol) -> bool:
     return model_for(protocol) is not None
 
 
-def _quantities(model: CostModel, binding: dict) -> Tuple[int, int, int, int]:
-    args = [binding[name] for name in model.params]
-    return (
-        int(model.rounds(*args)),
-        int(model.point_to_point(*args)),
-        int(model.broadcasts(*args)),
-        int(model.functionality(*args)),
-    )
+def _import_sympy():
+    try:
+        import sympy
+    except ImportError:
+        raise RuntimeError(
+            "sympy is not installed; only symbolic() and "
+            "gk_reveal_rounds_symbolic() need it (evaluate() never does)"
+        ) from None
+    return sympy
 
 
 def symbolic(model: CostModel) -> Dict[str, "sympy.Expr"]:
@@ -219,11 +215,7 @@ def symbolic(model: CostModel) -> Dict[str, "sympy.Expr"]:
     "broadcasts": ..., "functionality_responses": ...}`` over positive
     integer symbols named by ``model.params``.  Requires sympy.
     """
-    if not HAVE_SYMPY:
-        raise RuntimeError(
-            "sympy is not installed; symbolic() needs it (evaluate() "
-            "works without sympy through the integer fallback)"
-        )
+    sympy = _import_sympy()
     syms = {
         name: sympy.Symbol(name, positive=True, integer=True)
         for name in model.params
@@ -245,8 +237,7 @@ def gk_reveal_rounds_symbolic(variant: str = "domain") -> "sympy.Expr":
     with the explicit e⁻²⁰ truncation margin used throughout
     (``analysis.analytic.gk_round_count``).  Requires sympy.
     """
-    if not HAVE_SYMPY:
-        raise RuntimeError("sympy is not installed")
+    sympy = _import_sympy()
     p = sympy.Symbol("p", positive=True, integer=True)
     m = sympy.Symbol("m", positive=True, integer=True)
     if variant == "domain":
@@ -259,11 +250,11 @@ def gk_reveal_rounds_symbolic(variant: str = "domain") -> "sympy.Expr":
 def evaluate(protocol) -> PredictedCost:
     """Bind a concrete protocol instance into its model's closed forms.
 
-    With sympy installed the prediction is computed by substituting the
-    bound parameter values into the symbolic expressions; without it,
-    by the same formulas over plain integers — bit-identical results
-    either way (asserted by the test suite).  Raises ``ValueError`` for
-    a protocol with no registered model.
+    The bound parameter values go straight into the formula callables,
+    so this is integer arithmetic only and never loads sympy (the test
+    suite cross-checks it against sympy substitution into
+    :func:`symbolic`).  Raises ``ValueError`` for a protocol with no
+    registered model.
     """
     model = model_for(protocol)
     if model is None:
@@ -272,24 +263,11 @@ def evaluate(protocol) -> PredictedCost:
             f"covered families: {', '.join(covered_families())}"
         )
     binding = model.bind(protocol)
-    if HAVE_SYMPY:
-        exprs = symbolic(model)
-        subs = {
-            sympy.Symbol(name, positive=True, integer=True): value
-            for name, value in binding.items()
-        }
-        rounds, p2p, broadcast, func = (
-            int(exprs["rounds"].subs(subs)),
-            int(exprs["point_to_point_messages"].subs(subs)),
-            int(exprs["broadcasts"].subs(subs)),
-            int(exprs["functionality_responses"].subs(subs)),
-        )
-    else:
-        rounds, p2p, broadcast, func = _quantities(model, binding)
+    args = [binding[name] for name in model.params]
     return PredictedCost(
         protocol_name=protocol.name,
-        rounds=rounds,
-        point_to_point_messages=p2p,
-        broadcasts=broadcast,
-        functionality_responses=func,
+        rounds=int(model.rounds(*args)),
+        point_to_point_messages=int(model.point_to_point(*args)),
+        broadcasts=int(model.broadcasts(*args)),
+        functionality_responses=int(model.functionality(*args)),
     )

@@ -45,6 +45,15 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def do_POST(self):
+        try:
+            self._post()
+        finally:
+            # A service.shutdown request stops the server only now, with
+            # its reply already on the wire.
+            if self.server.service.stop_after_reply():
+                self.close_connection = True
+
+    def _post(self):
         service = self.server.service
         length = self.headers.get("Content-Length")
         if length is None:
@@ -82,6 +91,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(encoded)))
         self.end_headers()
         self.wfile.write(encoded)
+        self.wfile.flush()
 
 
 class _Httpd(ThreadingHTTPServer):
@@ -117,6 +127,9 @@ class ServiceServer:
         self._httpd: Optional[_Httpd] = None
         self._shutdown_lock = threading.Lock()
         self._shut_down = False
+        #: Per handler thread: ``stop_drain`` of a service.shutdown whose
+        #: reply is not yet written (see stop_after_reply).
+        self._requests = threading.local()
         self._serving = threading.Event()
         #: Extension point: extra methods callable over the wire, each a
         #: ``fn(runner, params) -> artifact dict`` run through the job
@@ -158,19 +171,31 @@ class ServiceServer:
 
     def shutdown(self, drain: bool = True) -> None:
         """Stop accepting, close the pool (draining by default), close
-        the socket.  Idempotent; safe from any thread."""
+        the socket.  Idempotent and safe from any thread but the serve
+        loop's; a second caller returns once the first has finished."""
         with self._shutdown_lock:
             if self._shut_down:
                 return
             self._shut_down = True
-        # socketserver's shutdown() blocks on an event only the serve
-        # loop sets; calling it on a bound-but-never-served instance
-        # would hang forever, so skip straight to closing the socket.
-        if self._httpd is not None and self._serving.is_set():
-            self._httpd.shutdown()
-        self.pool.close(drain=drain)
-        if self._httpd is not None:
-            self._httpd.server_close()
+            # socketserver's shutdown() blocks on an event only the serve
+            # loop sets; calling it on a bound-but-never-served instance
+            # would hang forever, so skip straight to closing the socket.
+            if self._httpd is not None and self._serving.is_set():
+                self._httpd.shutdown()
+            self.pool.close(drain=drain)
+            if self._httpd is not None:
+                self._httpd.server_close()
+
+    def stop_after_reply(self) -> bool:
+        """Run the ``service.shutdown`` the calling handler thread's
+        request asked for, if any; return whether it did.  Handlers call
+        this once their reply is written."""
+        drain = getattr(self._requests, "stop_drain", None)
+        if drain is None:
+            return False
+        self._requests.stop_drain = None
+        self.shutdown(drain=drain)
+        return True
 
     def register_method(self, name: str, fn: Callable) -> None:
         if name in canonical.METHOD_SCHEMAS or name.startswith(("job.", "service.")):
@@ -374,11 +399,9 @@ class ServiceServer:
         drain = params.get("drain", True)
         if not isinstance(drain, bool):
             raise canonical.ServiceParamError("'drain' must be a boolean")
-        # Stop from a helper thread so this response still goes out
-        # through the live server.
-        threading.Thread(
-            target=self.shutdown, kwargs={"drain": drain}, daemon=True
-        ).start()
+        # Deferred to stop_after_reply(): stopping now would let the
+        # process exit before this reply is written.
+        self._requests.stop_drain = drain
         return {"stopping": True, "drain": drain}
 
 

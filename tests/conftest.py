@@ -1,7 +1,13 @@
 """Shared fixtures for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import PayoffVector
 from repro.crypto import Rng
 from repro.functions import make_and, make_concat, make_swap
@@ -37,3 +43,24 @@ def and_func():
 @pytest.fixture
 def concat5():
     return make_concat(5, 8)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run ``code`` in a new interpreter with ``src`` on the path and no
+    ``REPRO_*`` knobs set; return its stdout (the run must exit 0)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+
+    def run(code: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

@@ -17,6 +17,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 from contextlib import contextmanager
@@ -32,6 +33,7 @@ from repro.core import PayoffVector
 from repro.functions import make_swap
 from repro.protocols import Opt2SfeProtocol
 from repro.runtime import NO_FAULTS, SerialRunner
+from repro.service import server as server_module
 from repro.service import (
     ENV_SERVICE_BURST,
     ENV_SERVICE_QUEUE,
@@ -494,6 +496,36 @@ class TestShutdown:
         assert not thread.is_alive()
         assert _leak_failure(threads_before) is None
 
+    def test_reply_is_written_before_the_serve_loop_returns(
+        self, monkeypatch
+    ):
+        # A slow reply write must still land before serve_forever()
+        # returns: `repro serve` exits as soon as it does, and daemon
+        # handler threads die with the process.
+        events = []
+        write_reply = server_module._Handler._reply
+
+        def slow_reply(handler, status, body):
+            time.sleep(0.3)
+            write_reply(handler, status, body)
+            events.append("replied")
+
+        monkeypatch.setattr(server_module._Handler, "_reply", slow_reply)
+        srv = ServiceServer(runner_factory=_serial, rate=1000.0,
+                            burst=1000, queue_limit=8, workers=1)
+        srv.bind()
+
+        def serve():
+            srv.serve_forever()
+            events.append("serve returned")
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        reply = _rpc(srv.port, "service.shutdown", {"drain": True})
+        assert reply["result"] == {"stopping": True, "drain": True}
+        thread.join(10)
+        assert events == ["replied", "serve returned"]
+
     def test_close_without_drain_cancels_pending(self):
         gate = threading.Event()
         started = threading.Event()
@@ -559,6 +591,41 @@ class TestServeCli:
                 proc.kill()
                 proc.wait()
             proc.stdout.close()
+
+    def test_shutdown_reply_survives_cpu_contention(self):
+        # Regression: `repro serve` used to exit before the handler
+        # thread flushed the service.shutdown reply (RemoteDisconnected)
+        # when that thread was starved.  A busy-loop thread inside the
+        # server process competes with it for the interpreter here.
+        serve_with_spinner = textwrap.dedent("""
+            import sys, threading
+            from repro.cli import main
+
+            def spin():
+                while True:
+                    pass
+
+            threading.Thread(target=spin, daemon=True).start()
+            sys.exit(main(["serve", "--listen", "127.0.0.1:0"]))
+        """)
+        for attempt in range(20):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", serve_with_spinner],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                env=self._env(),
+                text=True,
+            )
+            try:
+                port = json.loads(proc.stdout.readline())["port"]
+                reply = _rpc(port, "service.shutdown", {"drain": True})
+                assert reply["result"]["stopping"], attempt
+                assert proc.wait(timeout=30) == 0, attempt
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+                proc.stdout.close()
 
     def test_serve_rejects_malformed_listen(self):
         proc = subprocess.run(

@@ -2,13 +2,14 @@
 
 Covers the three layers of the cost subsystem: the closed forms in
 ``analysis/symbolic_cost.py`` (predictions must match ``measure_cost``
-exactly, with and without sympy), the E21 claim family that pins that
-agreement, and the ``schedule="cost"`` runtime mode (bit-identical
-results, deterministic venue-invariant plans, LPT dispatch,
-observability fields, env knobs).
+exactly and sympy substitution bit for bit, and need no sympy), the E21
+claim family that pins that agreement, and the ``schedule="cost"``
+runtime mode (bit-identical results, deterministic venue-invariant
+plans, LPT dispatch, observability fields, env knobs).
 """
 
 import os
+import textwrap
 
 import pytest
 
@@ -106,15 +107,51 @@ class TestSymbolicModels:
         assert cost.total_messages == 4
         assert cost.weight == 8.0
 
-    def test_sympy_and_fallback_paths_agree(self, monkeypatch):
-        if not HAVE_SYMPY:
-            pytest.skip("sympy unavailable; only the fallback path exists")
-        import repro.analysis.symbolic_cost as sc
+    @pytest.mark.skipif(not HAVE_SYMPY, reason="needs sympy")
+    def test_evaluate_matches_sympy_substitution(self):
+        # evaluate() is integer arithmetic; the closed forms it must agree
+        # with are the sympy expressions, substituted at the bound values.
+        import sympy
 
-        with_sympy = [evaluate(p) for p in _zoo()]
-        monkeypatch.setattr(sc, "HAVE_SYMPY", False)
-        without = [sc.evaluate(p) for p in _zoo()]
-        assert with_sympy == without
+        for protocol in _zoo():
+            model = model_for(protocol)
+            binding = {
+                sympy.Symbol(name, positive=True, integer=True): value
+                for name, value in model.bind(protocol).items()
+            }
+            exprs = symbolic(model)
+            predicted = evaluate(protocol)
+            assert len(exprs) == 4
+            for key, expr in exprs.items():
+                assert getattr(predicted, key) == int(expr.subs(binding)), (
+                    protocol.name, key,
+                )
+
+    def test_runs_without_sympy(self, fresh_python):
+        # With sympy unimportable, every E21 claim still passes and only
+        # the symbolic inspection entry points refuse to work.
+        out = fresh_python(textwrap.dedent("""
+            import sys
+            sys.modules["sympy"] = None
+            from repro.analysis.symbolic_cost import (
+                HAVE_SYMPY, gk_reveal_rounds_symbolic, model_for, symbolic)
+            from repro.functions import make_and
+            from repro.protocols import GordonKatzProtocol
+            from repro.verify import verify_claims
+
+            assert not HAVE_SYMPY
+            report = verify_claims("E21", budget="small", seed="no-sympy")
+            print(*[c.verdict.value for c in report.checks])
+            model = model_for(GordonKatzProtocol(make_and(), p=2))
+            for call in (lambda: symbolic(model), gk_reveal_rounds_symbolic):
+                try:
+                    call()
+                except RuntimeError as exc:
+                    assert "sympy is not installed" in str(exc)
+                else:
+                    raise AssertionError("ran without sympy")
+        """))
+        assert out.split() == ["ok"] * 6
 
     @pytest.mark.skipif(not HAVE_SYMPY, reason="needs sympy")
     def test_symbolic_expressions_substitute(self):
