@@ -120,7 +120,7 @@ class MachineDrivingAdversary(Adversary):
                 if m.sender != i and (m.broadcast or m.receiver == i):
                     inbox.add(m)
             probe.step(iface.round + 1, inbox)
-            results[i] = probe.output or probe.simulate_silent_completion()
+            results[i] = probe.output or probe._complete_silently()
         return results
 
     def probe_real_output(

@@ -1,9 +1,12 @@
 """Deep-copy shortcut for immutable value objects.
 
-Lock-watching adversaries clone party machines every round (the coalition
-probe); machine state is dominated by frozen crypto dataclasses, which are
-safe to share across clones.  Mixing this in turns their deep copies into
-identity operations.
+Lock-watching adversaries clone party runners every round (the coalition
+probe).  A clone deep-copies the machine and its RNG and copies the view's
+message lists shallowly (messages are frozen, the view append-only).  The
+machine's state is dominated by frozen dataclasses (crypto values, the
+function spec), which are safe to share across clones; mixing this in
+turns their deep copies into identity operations, so copying a machine
+costs its mutable fields only.
 """
 
 from __future__ import annotations

@@ -14,11 +14,16 @@ from .immutable import Immutable
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import cached_property
 
 from .prf import Rng
 
 TAG_LENGTH = 16  # bytes; 128-bit tags
 KEY_LENGTH = 16  # bytes
+_BLOCK_SIZE = 64  # SHA-256 block size, the HMAC pad width
+#: ``bytes.translate`` tables XOR-ing every byte with the HMAC pads.
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,23 @@ class MacKey(Immutable):
     def __post_init__(self):
         if len(self.material) != KEY_LENGTH:
             raise ValueError(f"MAC keys are {KEY_LENGTH} bytes")
+
+    @cached_property
+    def _hmac_states(self):
+        """SHA-256 states after absorbing the key XOR ipad and XOR opad.
+
+        Computed on first use and kept in the instance dict, outside the
+        dataclass fields, so equality, hashing and ``repr`` ignore it;
+        :meth:`__getstate__` leaves it out of pickles.
+        """
+        block = self.material.ljust(_BLOCK_SIZE, b"\0")
+        return (
+            hashlib.sha256(block.translate(_IPAD)),
+            hashlib.sha256(block.translate(_OPAD)),
+        )
+
+    def __getstate__(self):
+        return {"material": self.material}
 
 
 def gen_mac_key(rng: Rng) -> MacKey:
@@ -46,9 +68,12 @@ def _encode(message) -> bytes:
     if isinstance(message, str):
         return b"S" + message.encode()
     if isinstance(message, tuple):
-        parts = [_encode(m) for m in message]
-        inner = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-        return b"T" + inner
+        parts = [b"T"]
+        for m in message:
+            encoded = _encode(m)
+            parts.append(len(encoded).to_bytes(4, "big"))
+            parts.append(encoded)
+        return b"".join(parts)
     if message is None:
         return b"N"
     raise TypeError(f"cannot MAC message of type {type(message).__name__}")
@@ -57,11 +82,17 @@ def _encode(message) -> bytes:
 def tag(message, key: MacKey) -> bytes:
     """Compute a MAC tag for ``message`` under ``key``.
 
-    Mirrors the paper's ``tag(x, k)`` notation.
+    Mirrors the paper's ``tag(x, k)`` notation.  HMAC-SHA256, truncated;
+    byte-identical to ``hmac.new(key.material, _encode(message),
+    hashlib.sha256).digest()[:TAG_LENGTH]``, but resumed from the key's
+    cached pad states instead of re-hashing the pads on every call.
     """
-    return hmac.new(key.material, _encode(message), hashlib.sha256).digest()[
-        :TAG_LENGTH
-    ]
+    inner_state, outer_state = key._hmac_states
+    inner = inner_state.copy()
+    inner.update(_encode(message))
+    outer = outer_state.copy()
+    outer.update(inner.digest())
+    return outer.digest()[:TAG_LENGTH]
 
 
 def verify(message, candidate_tag: bytes, key: MacKey) -> bool:

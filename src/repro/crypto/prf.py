@@ -12,7 +12,7 @@ functionality, and adversary its own stream while keeping one master seed.
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 class Prg:
@@ -29,6 +29,9 @@ class Prg:
         """Return the next ``n`` pseudorandom bytes."""
         if n < 0:
             raise ValueError("cannot read a negative number of bytes")
+        if n <= len(self._buffer):
+            out, self._buffer = self._buffer[:n], self._buffer[n:]
+            return out
         # Accumulate whole blocks in a list and join once: appending to a
         # bytes buffer inside the loop re-copies the buffer per block,
         # turning large reads quadratic.
@@ -44,6 +47,13 @@ class Prg:
         buffer = b"".join(blocks)
         out, self._buffer = buffer[:n], buffer[n:]
         return out
+
+    def __deepcopy__(self, memo):
+        # Seed, counter and buffer are immutable values: sharing them is a
+        # full copy of the stream state.
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
 
 def _encode_component(x) -> bytes:
@@ -100,8 +110,16 @@ class Rng:
             # Composite seeds (tuples of run labels, etc.): canonical,
             # collision-free encoding via encode_seed.
             seed = encode_seed(seed)
-        self._prg = Prg(hashlib.sha256(b"rng:" + bytes(seed)).digest())
         self._seed = bytes(seed)
+        # Built on the first draw: most forked RNGs only fork further.
+        self._prg: Optional[Prg] = None
+
+    def _stream(self) -> Prg:
+        prg = self._prg
+        if prg is None:
+            seed = hashlib.sha256(b"rng:" + self._seed).digest()
+            prg = self._prg = Prg(seed)
+        return prg
 
     @property
     def seed_bytes(self) -> bytes:
@@ -121,6 +139,16 @@ class Rng:
         """
         return Rng(hashlib.sha256(self._seed + b"/" + label.encode()).digest())
 
+    def __deepcopy__(self, memo):
+        # The copy continues the same stream independently: only the PRG
+        # state is mutable, and ``copy.deepcopy`` records the result in
+        # ``memo`` so that aliases of this Rng map to the one copy.
+        clone = object.__new__(type(self))
+        clone._seed = self._seed
+        prg = self._prg
+        clone._prg = None if prg is None else prg.__deepcopy__(memo)
+        return clone
+
     # -- random.Random-compatible subset -----------------------------------
     def getrandbits(self, k: int) -> int:
         if k < 0:
@@ -128,11 +156,11 @@ class Rng:
         if k == 0:
             return 0
         nbytes = (k + 7) // 8
-        x = int.from_bytes(self._prg.read(nbytes), "big")
+        x = int.from_bytes(self._stream().read(nbytes), "big")
         return x >> (nbytes * 8 - k)
 
     def randbytes(self, n: int) -> bytes:
-        return self._prg.read(n)
+        return self._stream().read(n)
 
     def randrange(self, start: int, stop: int = None) -> int:
         if stop is None:

@@ -51,33 +51,39 @@ def _digest(message) -> bytes:
     return hashlib.sha256(_encode(message)).digest()
 
 
-def _bits(digest: bytes):
-    for byte in digest:
-        for i in range(8):
-            yield (byte >> i) & 1
+#: Bit ``i`` (least significant first) of every byte value, so a digest
+#: expands to its 256 bits with one table lookup per byte.
+_BYTE_BITS = tuple(
+    tuple((byte >> i) & 1 for i in range(8)) for byte in range(256)
+)
+
+
+def _bits(digest: bytes) -> list:
+    return [bit for byte in digest for bit in _BYTE_BITS[byte]]
 
 
 def gen(rng: Rng) -> Tuple[SigningKey, VerificationKey]:
-    """Generate a one-time key pair (paper notation: ``Gen(1^k)``)."""
-    sk_pairs = []
-    vk_pairs = []
-    for _ in range(_HASH_BITS):
-        x0 = rng.randbytes(_CHUNK)
-        x1 = rng.randbytes(_CHUNK)
-        sk_pairs.append((x0, x1))
-        vk_pairs.append(
-            (hashlib.sha256(x0).digest(), hashlib.sha256(x1).digest())
-        )
-    return SigningKey(tuple(sk_pairs)), VerificationKey(tuple(vk_pairs))
+    """Generate a one-time key pair (paper notation: ``Gen(1^k)``).
+
+    The 512 preimages are drawn in one read, x0 then x1 for each bit: the
+    PRG stream does not depend on how it is split into reads, so this is
+    the same key pair as drawing each preimage on its own.
+    """
+    material = rng.randbytes(2 * _HASH_BITS * _CHUNK)
+    preimages = [
+        material[i:i + _CHUNK] for i in range(0, len(material), _CHUNK)
+    ]
+    sha256 = hashlib.sha256
+    hashes = [sha256(x).digest() for x in preimages]
+    sk_pairs = tuple(zip(preimages[0::2], preimages[1::2]))
+    vk_pairs = tuple(zip(hashes[0::2], hashes[1::2]))
+    return SigningKey(sk_pairs), VerificationKey(vk_pairs)
 
 
 def sign(message, sk: SigningKey) -> Signature:
     """Sign ``message`` (paper notation: ``Sign(y, sk)``)."""
-    digest = _digest(message)
-    preimages = tuple(
-        sk.pairs[i][bit] for i, bit in enumerate(_bits(digest))
-    )
-    return Signature(preimages)
+    bits = _bits(_digest(message))
+    return Signature(tuple([pair[bit] for pair, bit in zip(sk.pairs, bits)]))
 
 
 def ver(message, signature, vk: VerificationKey) -> bool:
@@ -90,11 +96,12 @@ def ver(message, signature, vk: VerificationKey) -> bool:
         digest = _digest(message)
     except TypeError:
         return False
-    for i, bit in enumerate(_bits(digest)):
-        preimage = signature.preimages[i]
+    sha256 = hashlib.sha256
+    compare = hmac.compare_digest
+    bits = _bits(digest)
+    for preimage, pair, bit in zip(signature.preimages, vk.pairs, bits):
         if not isinstance(preimage, bytes):
             return False
-        expected = vk.pairs[i][bit]
-        if not hmac.compare_digest(hashlib.sha256(preimage).digest(), expected):
+        if not compare(sha256(preimage).digest(), pair[bit]):
             return False
     return True

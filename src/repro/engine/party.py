@@ -103,6 +103,19 @@ class PartyMachine(ABC):
         self.index = index
         self.n = n
 
+    def __deepcopy__(self, memo):
+        # What the default deep copy does for a plain instance, minus the
+        # pickle-protocol round trip (``__reduce_ex__``, copying the
+        # attribute names): the coalition probe copies a machine per
+        # corrupted party per round.
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update({
+            name: copy.deepcopy(value, memo)
+            for name, value in self.__dict__.items()
+        })
+        return clone
+
     def on_input(self, value) -> None:
         """Receive the private input from the environment (round -1)."""
         self.input = value
@@ -137,7 +150,6 @@ class PartyView:
     received: List[Message] = field(default_factory=list)
     sent: List[Message] = field(default_factory=list)
     machine: Optional[PartyMachine] = None
-    func_responses: List[Message] = field(default_factory=list)
 
 
 class HonestRunner:
@@ -199,29 +211,55 @@ class HonestRunner:
         return self.output
 
     def clone(self) -> "HonestRunner":
-        """Deep copy, for counterfactual simulation by an adversary."""
-        return copy.deepcopy(self)
+        """Independent copy, for counterfactual simulation by an adversary.
+
+        The machine and the RNG are deep-copied through one memo, so an
+        RNG the machine also holds stays a single shared object in the
+        copy.  The view's message lists are copied shallowly: messages
+        are frozen and the view is append-only, so the copy's appends
+        never reach the original.
+        """
+        memo: dict = {}
+        sim = copy.copy(self)
+        sim.machine = copy.deepcopy(self.machine, memo)
+        sim.rng = copy.deepcopy(self.rng, memo)
+        view = self.view
+        sim.view = PartyView(
+            index=view.index,
+            input=view.input,
+            received=list(view.received),
+            sent=list(view.sent),
+            machine=copy.deepcopy(view.machine, memo),
+        )
+        return sim
 
     def simulate_silent_completion(self) -> Optional[OutputRecord]:
         """Run the machine to completion assuming everyone else is silent.
 
         Empty inboxes are fed for every remaining round; hybrid calls
         are answered with ``ABORT``.  Returns the machine's final output
-        (or ``None`` if it never outputs — a protocol bug).
+        (or ``None`` if it never outputs — a protocol bug).  Runs on a
+        clone: this runner is left untouched.
 
         This is exactly the check the paper's strategies A1/A2/Aī perform:
         "simulate to a copy of pi that the others aborted the protocol and
         check whether the output is the default output".
         """
-        sim = self.clone()
+        return self.clone()._complete_silently()
+
+    def _complete_silently(self) -> Optional[OutputRecord]:
+        """:meth:`simulate_silent_completion` on this runner itself.
+
+        For a runner that is already a throwaway copy (the coalition
+        probe's), which needs no second clone.
+        """
         pending_func_aborts: List[str] = []
-        for r in range(sim.current_round, sim.max_rounds):
+        for r in range(self.current_round, self.max_rounds):
             inbox = Inbox()
             for fname in pending_func_aborts:
-                inbox.add(Message(fname, sim.index, ABORT, r))
-            pending_func_aborts = []
-            ctx = sim.step(r, inbox)
+                inbox.add(Message(fname, self.index, ABORT, r))
+            ctx = self.step(r, inbox)
             pending_func_aborts = list(ctx.func_calls.keys())
-            if sim.output is not None:
-                return sim.output
-        return sim.output
+            if self.output is not None:
+                return self.output
+        return self.output

@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
+from ..crypto.immutable import Immutable
 from ..crypto.prf import Rng
 
 
 @dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(Immutable):
     """An n-party function with evaluation and environment metadata."""
 
     name: str

@@ -38,6 +38,11 @@ MAX_RESULT_WAIT_S = 300.0
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # A reply leaves as two writes, headers then body.  With Nagle's
+    # algorithm on, the body waits for the client to acknowledge the
+    # headers, which a keep-alive client delays by ~40 ms: every RPC
+    # after a connection's first would pay that stall.
+    disable_nagle_algorithm = True
     # Quiet by default: per-request access logging belongs to the host's
     # reverse proxy, not a research service's stdout (which carries the
     # announce line).

@@ -1,5 +1,7 @@
 """PRG / deterministic RNG tests."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,15 @@ class TestPrg:
         one = Prg(b"s")
         chunked = one.read(10) + one.read(22)
         assert chunked == Prg(b"s").read(32)
+
+    @given(st.lists(st.integers(0, 100), max_size=12))
+    @settings(max_examples=60)
+    def test_stream_independent_of_read_sizes(self, sizes):
+        prg = Prg(b"split")
+        chunked = b"".join(prg.read(n) for n in sizes)
+        assert chunked == Prg(b"split").read(sum(sizes))
+        # The next read continues the same stream either way.
+        assert prg.read(40) == Prg(b"split").read(sum(sizes) + 40)[-40:]
 
     def test_read_zero(self):
         assert Prg(b"s").read(0) == b""
@@ -47,6 +58,14 @@ class TestRng:
 
     def test_fork_reproducible(self):
         assert Rng(1).fork("x").randbytes(8) == Rng(1).fork("x").randbytes(8)
+
+    @pytest.mark.parametrize("drawn", [0, 5, 32, 33])
+    def test_deepcopy_continues_the_stream(self, drawn):
+        rng = Rng(3)
+        rng.randbytes(drawn)
+        twin = copy.deepcopy(rng)
+        assert twin.randbytes(50) == rng.randbytes(50)
+        assert twin.fork("x").randbytes(8) == rng.fork("x").randbytes(8)
 
     def test_randrange_bounds(self):
         rng = Rng(2)

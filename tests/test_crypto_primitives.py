@@ -1,6 +1,9 @@
 """MAC, commitment, signature, and OTP tests."""
 
 import copy
+import hashlib
+import hmac
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,17 @@ from repro.crypto import (
     verify,
 )
 from repro.crypto.commitment import Opening
-from repro.crypto.mac import KEY_LENGTH, MacKey, TAG_LENGTH
+from repro.crypto.mac import KEY_LENGTH, MacKey, TAG_LENGTH, _encode
+from repro.crypto.signature import Signature
+
+#: Every message shape the library MACs and signs, nested.
+_messages = st.recursive(
+    st.binary(max_size=40) | st.integers() | st.text(max_size=20)
+    | st.none(),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner)
+    | st.tuples(inner, inner, inner),
+    max_leaves=8,
+)
 
 
 class TestMac:
@@ -73,6 +86,23 @@ class TestMac:
     @settings(max_examples=40)
     def test_roundtrip_property(self, message):
         assert verify(message, tag(message, self.key), self.key)
+
+    @given(st.binary(min_size=KEY_LENGTH, max_size=KEY_LENGTH), _messages)
+    @settings(max_examples=80)
+    def test_tag_matches_stdlib_hmac(self, material, message):
+        key = MacKey(material)
+        expected = hmac.new(material, _encode(message), hashlib.sha256)
+        assert tag(message, key) == expected.digest()[:TAG_LENGTH]
+
+    def test_cached_pads_are_not_part_of_the_key(self):
+        tag(1, self.key)  # caches the pad states on the key
+        fresh = MacKey(self.key.material)
+        assert self.key == fresh and hash(self.key) == hash(fresh)
+        assert repr(self.key) == repr(fresh)
+        for copied in (pickle.loads(pickle.dumps(self.key)),
+                       copy.deepcopy(self.key)):
+            assert copied == self.key
+            assert tag(("x", 2), copied) == tag(("x", 2), self.key)
 
 
 class TestCommitment:
@@ -136,16 +166,39 @@ class TestLamportSignatures:
 
     def test_truncated_signature_rejected(self):
         sig = sign("m", self.sk)
-        from repro.crypto.signature import Signature
-
         assert not ver("m", Signature(sig.preimages[:100]), self.vk)
 
     def test_tampered_preimage_rejected(self):
         sig = sign("m", self.sk)
-        from repro.crypto.signature import Signature
-
         tampered = (b"\x00" * 32,) + sig.preimages[1:]
         assert not ver("m", Signature(tampered), self.vk)
+
+    @pytest.mark.parametrize("position", [0, 127, 255])
+    def test_one_flipped_preimage_rejected(self, position):
+        preimages = list(sign("m", self.sk).preimages)
+        preimages[position] = bytes([preimages[position][0] ^ 1]) + (
+            preimages[position][1:]
+        )
+        assert not ver("m", Signature(tuple(preimages)), self.vk)
+
+    @pytest.mark.parametrize("seed", [0, 1, b"sig", "lamport"])
+    def test_gen_matches_per_preimage_reference(self, seed):
+        # Reference construction: x0 then x1 drawn one preimage at a time,
+        # each public value the SHA-256 of its preimage.
+        rng = Rng(seed)
+        sk_pairs, vk_pairs = [], []
+        for _ in range(256):
+            x0, x1 = rng.randbytes(32), rng.randbytes(32)
+            sk_pairs.append((x0, x1))
+            vk_pairs.append(
+                (hashlib.sha256(x0).digest(), hashlib.sha256(x1).digest())
+            )
+        drawn = Rng(seed)
+        sk, vk = gen(drawn)
+        assert sk.pairs == tuple(sk_pairs)
+        assert vk.pairs == tuple(vk_pairs)
+        # Both consumed the same stream prefix.
+        assert drawn.randbytes(16) == rng.randbytes(16)
 
     def test_signs_tuples(self):
         y = (1, 2, 3)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.adversaries.base import MachineDrivingAdversary
 from repro.crypto import Rng
 from repro.engine import (
     ABORT,
@@ -49,6 +50,38 @@ class PingPongProtocol(Protocol):
 
     def build_machines(self, rng):
         return [PingPongMachine(i, 2) for i in range(2)]
+
+
+class SlowRelayMachine(PartyMachine):
+    """Round 0: send input.  Round 2: output what arrived (⊥ if nothing)."""
+
+    def on_round(self, round_no, inbox, ctx):
+        other = 1 - self.index
+        if round_no == 0:
+            ctx.send(other, self.input)
+        elif round_no == 1:
+            self.received = inbox.one_from_party(other)
+        elif round_no == 2:
+            if self.received is None:
+                ctx.output_abort()
+            else:
+                ctx.output(self.received)
+
+
+class SlowRelayProtocol(PingPongProtocol):
+    name = "slow-relay"
+    max_rounds = 3
+
+    def build_machines(self, rng):
+        return [SlowRelayMachine(i, 2) for i in range(2)]
+
+
+class RngHoldingMachine(PingPongMachine):
+    """Keeps a reference to the RNG its runner draws from."""
+
+    def __init__(self, index, n, rng):
+        super().__init__(index, n)
+        self.rng = rng
 
 
 class EchoFunctionality(Functionality):
@@ -305,6 +338,65 @@ class TestHonestRunner:
         clone.step(0, Inbox())
         assert runner.current_round == 0
         assert clone.current_round == 1
+
+    def test_clone_continues_rng_stream_independently(self):
+        runner = HonestRunner(PingPongMachine(0, 2), Rng(1), 4)
+        runner.rng.randbytes(5)  # leave part of a PRG block buffered
+        clone = runner.clone()
+        drawn = clone.rng.randbytes(40)
+        # Drawing from the clone did not advance the original...
+        assert runner.rng.randbytes(40) == drawn
+        # ...nor the original the clone.
+        assert clone.rng.randbytes(40) == runner.rng.randbytes(40)
+
+    def test_clone_keeps_machine_rng_shared_with_runner(self):
+        rng = Rng(2)
+        runner = HonestRunner(RngHoldingMachine(0, 2, rng), rng, 4)
+        clone = runner.clone()
+        assert clone.rng is not runner.rng
+        assert clone.machine.rng is clone.rng
+
+    def test_clone_shares_function_spec(self):
+        machine = PingPongMachine(0, 2)
+        machine.func = make_xor()
+        clone = HonestRunner(machine, Rng(1), 4).clone()
+        assert clone.machine is not machine
+        assert clone.machine.func is machine.func
+
+    def test_coalition_probe_clones_each_probed_runner_once(
+        self, monkeypatch
+    ):
+        clones = []
+        original_clone = HonestRunner.clone
+
+        def counting_clone(runner):
+            clones.append(runner.index)
+            return original_clone(runner)
+
+        monkeypatch.setattr(HonestRunner, "clone", counting_clone)
+
+        class ProbeEveryRound(MachineDrivingAdversary):
+            def __init__(self):
+                super().__init__({0})
+                self.probes = []  # (runners probed, runners cloned)
+
+            def should_abort(self, iface, contexts):
+                probed = [
+                    i for i, runner in self._runners.items()
+                    if runner.output is None
+                ]
+                before = len(clones)
+                self.coalition_probe(iface, contexts)
+                self.probes.append((probed, clones[before:]))
+                return False
+
+        adversary = ProbeEveryRound()
+        run_execution(SlowRelayProtocol(), ("a", "b"), adversary, Rng(1))
+        # The round-0 probe has to run the copy past the next round to
+        # reach an output, so it exercises the silent completion too.
+        assert adversary.probes[0] == ([0], [0])
+        for probed, cloned in adversary.probes:
+            assert cloned == probed
 
     def test_simulate_silent_completion(self):
         machine = PingPongMachine(0, 2)

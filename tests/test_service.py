@@ -173,6 +173,28 @@ class TestLifecycle:
             assert "estimate_utility" in info["methods"]
             assert "job.stream" in info["methods"]
 
+    def test_keep_alive_rpcs_skip_the_delayed_ack_wait(self):
+        # A reply is written as headers then body.  With Nagle's
+        # algorithm on, each RPC after a connection's first waited ~40 ms
+        # for the client's delayed acknowledgement of the headers.
+        body = json.dumps(
+            {"jsonrpc": "2.0", "id": 1, "method": "service.info"}
+        )
+        elapsed = []
+        with _server() as srv:
+            conn = http.client.HTTPConnection("127.0.0.1", srv.port,
+                                              timeout=60)
+            try:
+                for _ in range(11):
+                    t0 = time.perf_counter()
+                    conn.request("POST", "/", body,
+                                 {"Content-Type": "application/json"})
+                    assert conn.getresponse().read()
+                    elapsed.append(time.perf_counter() - t0)
+            finally:
+                conn.close()
+        assert sorted(elapsed)[len(elapsed) // 2] < 0.02, elapsed
+
     def test_ephemeral_bind_returns_real_port(self):
         srv = ServiceServer(port=0, runner_factory=_serial)
         try:
