@@ -121,7 +121,6 @@ def chunk_stats_to_dict(chunk: ChunkStats) -> dict:
         "cache": chunk.cache,
         "engine": chunk.engine,
         "worker": chunk.worker,
-        "predicted_cost": chunk.predicted_cost,
     }
 
 
@@ -159,7 +158,6 @@ def run_stats_to_dict(stats: RunStats) -> dict:
         "cache_stores": stats.cache_stores,
         "execution_backend": stats.execution_backend,
         "vectorized_runs": stats.vectorized_runs,
-        "schedule": stats.schedule,
         "service_dedup_hits": stats.service_dedup_hits,
         "service_rate_limited": stats.service_rate_limited,
         "chunks": [chunk_stats_to_dict(c) for c in stats.chunks],

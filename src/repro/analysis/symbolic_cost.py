@@ -8,23 +8,16 @@ paper's cost analysis (party count ``n``, release bit-length ``B``, the
 Gordon–Katz reveal-round parameter ``R`` = ``gk_round_count(p, m)``),
 bound to a concrete protocol instance by :func:`evaluate`.
 
-The models are used two ways:
-
-* **verification** — claim family E21 asserts that
-  :func:`~repro.analysis.complexity.measure_cost` matches these
-  predictions *exactly* (equality, zero tolerance): the engine's honest
-  executions spend precisely the rounds and messages the paper's
-  protocol descriptions say they do, and
-
-* **scheduling** — the batch runtime's cost-aware chunk planner
-  (``--schedule cost``) uses :attr:`PredictedCost.weight` as a per-run
-  cost proxy, sizing chunks so predicted per-chunk cost is equalized
-  across heterogeneous sweeps and dispatching the most expensive chunks
-  first (LPT).
+Claim family E21 asserts that
+:func:`~repro.analysis.complexity.measure_cost` matches these
+predictions *exactly* (equality, zero tolerance): the engine's honest
+executions spend precisely the rounds and messages the paper's protocol
+descriptions say they do.  ``repro profile`` prints them next to the
+measured costs.
 
 Each formula is written once, as a Python callable that accepts either
 ints or sympy symbols.  :func:`evaluate` calls it with ints: integer
-arithmetic only, so no run (E21, the scheduler, the CLI) ever loads
+arithmetic only, so no run (E21, the CLI) ever loads
 sympy.  sympy is needed only to inspect the closed forms as expressions
 through :func:`symbolic` and :func:`gk_reveal_rounds_symbolic`, which
 import it when called.
@@ -46,7 +39,7 @@ from typing import Callable, Dict, Optional, Tuple
 #: Whether :func:`symbolic` can run; looked up without importing sympy.
 HAVE_SYMPY = importlib.util.find_spec("sympy") is not None
 
-#: Symbol glossary (docs/architecture.md "Cost models and scheduling").
+#: Symbol glossary (docs/architecture.md "Cost models").
 SYMBOLS: Dict[str, str] = {
     "n": "number of parties",
     "B": "gradual-release bit length (RELEASE_BITS)",
@@ -80,18 +73,6 @@ class PredictedCost:
             + self.broadcasts
             + self.functionality_responses
         )
-
-    @property
-    def weight(self) -> float:
-        """Scalar per-run cost proxy for the cost-aware scheduler.
-
-        Rounds plus total transcript traffic: both engine-loop
-        iterations and per-message bookkeeping cost wall-clock, and the
-        sum tracks the measured per-run times across the protocol zoo
-        well enough to equalize chunk costs (the scheduler only needs
-        relative magnitudes, not milliseconds).
-        """
-        return float(self.rounds + self.total_messages)
 
 
 @dataclass(frozen=True)

@@ -49,14 +49,9 @@ hands eligible (protocol, strategy) chunks to the NumPy vectorized
 backend and falls back to the reference state machine per task,
 ``reference`` forces the state machine, ``vectorized`` asserts
 eligibility and fails loudly on any non-vectorizable task — all three
-produce bit-identical results.  ``--schedule`` (or ``REPRO_SCHEDULE``)
-selects the chunk planner: ``uniform`` (default) sizes every chunk
-identically, ``cost`` sizes chunks from the symbolic cost models
-(``analysis.symbolic_cost``) so predicted per-chunk cost is equalized
-across heterogeneous sweeps and dispatches the most expensive chunks
-first — same results, better slot utilization.  ``--chunk-size`` (or
-``REPRO_CHUNK_SIZE``) pins the uniform chunk size (the cost planner's
-reference size) instead of deriving it from ``--runs``.
+produce bit-identical results.  ``--chunk-size`` (or
+``REPRO_CHUNK_SIZE``) pins the chunk size instead of deriving it from
+``--runs``.
 """
 
 from __future__ import annotations
@@ -246,23 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
         "'reference' always steps the state machine",
     )
     parser.add_argument(
-        "--schedule",
-        choices=("uniform", "cost"),
-        default=None,
-        help="chunk-planning mode (default: $REPRO_SCHEDULE or uniform); "
-        "'cost' sizes chunks from the symbolic cost models so predicted "
-        "per-chunk cost is equalized across tasks and dispatches "
-        "predicted-expensive chunks first — results are bit-identical "
-        "to 'uniform'",
-    )
-    parser.add_argument(
         "--chunk-size",
         type=int,
         default=None,
         metavar="N",
         help="runs per chunk (default: $REPRO_CHUNK_SIZE or derived from "
-        "the run count); under --schedule cost this is the reference "
-        "size the cost planner scales per task",
+        "the run count)",
     )
     parser.add_argument(
         "--stats",
@@ -401,12 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--resume",
         action="store_true",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    verify.add_argument(
-        "--schedule",
-        choices=("uniform", "cost"),
         default=argparse.SUPPRESS,
         help=argparse.SUPPRESS,
     )
@@ -697,7 +675,7 @@ def cmd_profile(args, registry) -> str:
 
     Always runs in-process (a pool would hide worker time from the
     profiler) and without any chunk cache (a cache hit would profile
-    ``pickle.loads`` instead of the protocol).
+    the entry decoder instead of the protocol).
     """
     import cProfile
     import io
@@ -785,12 +763,10 @@ def _cost_model_table(protocol, seed) -> str:
     from .analysis import measure_cost
     from .analysis.symbolic_cost import evaluate, model_for
 
-    model = model_for(protocol)
-    if model is None:
+    if model_for(protocol) is None:
         return (
             f"cost model: none registered for {type(protocol).__name__} — "
-            "predicted-vs-measured table skipped (cost scheduling treats "
-            "this protocol as unmodelled and keeps uniform chunks)"
+            "predicted-vs-measured table skipped"
         )
     predicted = evaluate(protocol)
     measured = measure_cost(protocol, n_runs=8, seed=(seed, "cost-model"))
@@ -812,17 +788,8 @@ def _cost_model_table(protocol, seed) -> str:
         [quantity, pred, f"{meas:g}", f"{meas - pred:+g}"]
         for quantity, pred, meas in pairs
     ]
-    return "\n".join(
-        [
-            format_table(
-                ["honest cost", "predicted", "measured", "error"], rows
-            ),
-            (
-                f"scheduler weight: {predicted.weight:g} cost units/run "
-                f"(family {model.family}; 'cost' schedule sizes chunks "
-                f"by this)"
-            ),
-        ]
+    return format_table(
+        ["honest cost", "predicted", "measured", "error"], rows
     )
 
 
@@ -993,7 +960,6 @@ def _build_runner(args):
             backend=args.backend,
             workers=args.workers,
             journal=journal,
-            schedule=args.schedule,
         )
     except ValueError as exc:
         raise SystemExit(f"repro: {exc}")

@@ -42,17 +42,14 @@ from .retry import (
 )
 from .runner import (
     ENV_CHUNK_SIZE,
-    ENV_SCHEDULE,
     REPRO_JOBS_ENV,
     SMALL_BATCH_THRESHOLD,
-    VECTORIZED_DISCOUNT,
     BatchRunner,
     ProcessPoolRunner,
     SerialRunner,
     resolve_chunk_size,
     resolve_jobs,
     resolve_runner,
-    resolve_schedule,
 )
 # (after .runner: the coordinator builds on BatchRunner/SerialRunner)
 from .distributed import (
@@ -71,11 +68,7 @@ from .journal import (
 )
 from .stats import ChunkStats, MeasuredCounts, RunStats
 from .tasks import (
-    COST_CHUNK_GROWTH,
-    COST_UNIT_WEIGHT,
-    SCHEDULES,
     ExecutionTask,
-    cost_chunk_size,
     default_chunk_size,
     merge_partials,
     plan_chunks,
@@ -112,16 +105,9 @@ __all__ = [
     "resolve_jobs",
     "resolve_runner",
     "default_chunk_size",
-    "cost_chunk_size",
     "merge_partials",
     "plan_chunks",
-    "SCHEDULES",
-    "COST_UNIT_WEIGHT",
-    "COST_CHUNK_GROWTH",
-    "VECTORIZED_DISCOUNT",
-    "resolve_schedule",
     "resolve_chunk_size",
-    "ENV_SCHEDULE",
     "ENV_CHUNK_SIZE",
     "REPRO_JOBS_ENV",
     "SMALL_BATCH_THRESHOLD",

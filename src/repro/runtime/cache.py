@@ -15,7 +15,7 @@ different soundness arguments:
 * **Persistent chunk-result cache** (:class:`ChunkCache`) — an opt-in
   on-disk store of chunk partials keyed by a canonical fingerprint of
   (protocol, strategy, input sampler, fault config, master seed, chunk
-  span, schema version, user salt), built on the same injective
+  span, schema version), built on the same injective
   :func:`~repro.crypto.prf.encode_seed` encoder that derives run seeds.
   Sound because PR 1/2 made every ``(task, seed, span)`` triple
   bit-identically replayable: a cached partial *is* the value the chunk
@@ -43,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 from pathlib import Path
 from typing import Optional, Tuple
@@ -56,15 +55,19 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 #: Bumped whenever the meaning of a cached partial changes (event
 #: vocabulary, classifier semantics, chunk planning) **or** the on-disk
 #: entry format changes: old entries then miss instead of poisoning new
-#: runs.  Version 2 added the per-entry integrity header below.
-CACHE_SCHEMA_VERSION = 2
+#: runs.  Version 2 added the per-entry integrity header below; version 3
+#: replaced pickled payloads with the JSON partial codec.
+CACHE_SCHEMA_VERSION = 3
 
-#: On-disk entry layout since schema v2: a 4-byte magic, the SHA-256 of
-#: the pickled payload, then the payload itself.  The digest turns a
-#: torn write or a flipped bit into a *detected* corruption (quarantined
-#: and counted) instead of an undifferentiated miss — or worse, an
-#: unpickling error with an unbounded blast radius.
-_ENTRY_MAGIC = b"RCC2"
+#: On-disk entry layout since schema v3: a 4-byte magic, the SHA-256 of
+#: the payload, then the payload itself — the partial in the tagged-JSON
+#: form of :func:`~repro.runtime.distributed.wire.encode_partial`, the
+#: codec the run journal and the distributed wire use.  The digest turns
+#: a torn write or a flipped bit into a *detected* corruption
+#: (quarantined and counted) instead of an undifferentiated miss, and
+#: the codec means a hostile entry can at worst decode to wrong counts,
+#: never execute code.
+_ENTRY_MAGIC = b"RCC3"
 _DIGEST_BYTES = 32
 
 
@@ -148,21 +151,18 @@ def faults_fingerprint(faults) -> str:
 class ChunkCache:
     """Content-addressed on-disk store of chunk partials.
 
-    Entries are pickled mergeable partials (behind a magic + SHA-256
-    integrity header, see :data:`_ENTRY_MAGIC`) under
-    ``<root>/<key[:2]>/<key>.pkl`` where ``key`` is the hex digest of the
-    task's canonical fingerprint plus the chunk span, schema version, and
-    user salt.  Lookups and stores are best-effort: an unreadable entry
-    is a miss, a *corrupt* entry (bad magic or checksum mismatch) is a
-    quarantined miss counted in ``counters["corrupt"]``, and a failed
-    write is counted in ``counters["write_errors"]`` — the cache can
-    make a sweep faster but can never make it fail or change its result.
-
-    ``salt`` partitions the key space for callers whose downstream
-    interpretation differs even when the raw event counts would not
-    (e.g. embedding a payoff-vector tag); the measured partials
-    themselves are payoff-independent, so the default empty salt shares
-    entries across payoff vectors soundly.
+    Entries are JSON-encoded mergeable partials (behind a magic +
+    SHA-256 integrity header, see :data:`_ENTRY_MAGIC`) under
+    ``<root>/<key[:2]>/<key>.json`` where ``key`` is the hex digest of
+    the task's canonical fingerprint plus the chunk span and schema
+    version.  Lookups and stores are best-effort: an unreadable entry is
+    a miss, a *corrupt* entry (bad magic, checksum mismatch, or a
+    payload the codec rejects) is a quarantined miss counted in
+    ``counters["corrupt"]``, and a failed write — or a partial the codec
+    cannot encode — is counted in ``counters["write_errors"]``: the
+    cache can make a sweep faster but can never make it fail or change
+    its result.  The measured partials are payoff-independent, so
+    entries are shared across payoff vectors soundly.
     """
 
     #: Process-wide traffic counters (workers ship deltas back).
@@ -174,13 +174,12 @@ class ChunkCache:
         "write_errors": 0,
     }
 
-    def __init__(self, root, salt: str = ""):
+    def __init__(self, root):
         self.root = Path(root)
-        self.salt = str(salt)
         self.root.mkdir(parents=True, exist_ok=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ChunkCache(root={str(self.root)!r}, salt={self.salt!r})"
+        return f"ChunkCache(root={str(self.root)!r})"
 
     @classmethod
     def from_env(cls) -> Optional["ChunkCache"]:
@@ -200,29 +199,27 @@ class ChunkCache:
         if material is None:
             return None
         return encode_seed(
-            (
-                "chunk-cache",
-                CACHE_SCHEMA_VERSION,
-                self.salt,
-                material,
-                start,
-                stop,
-            )
+            ("chunk-cache", CACHE_SCHEMA_VERSION, material, start, stop)
         ).hex()
 
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+        return self.root / key[:2] / f"{key}.json"
 
     # -- access -------------------------------------------------------------
     def fetch(self, key: str) -> Tuple[bool, object]:
         """``(True, partial)`` on a hit, ``(False, None)`` otherwise.
 
         An entry that fails its integrity check — wrong magic, short
-        header, checksum mismatch, or an unpicklable payload behind a
-        *valid* checksum (a schema bug, not bit rot, but equally unsafe)
-        — is quarantined (renamed aside so it cannot poison the next
-        lookup either) and counted as both corrupt and a miss.
+        header, checksum mismatch, or a payload behind a *valid* checksum
+        that is not a partial in the JSON codec (a schema bug or a
+        foreign writer, not bit rot, but equally unusable) — is
+        quarantined (renamed aside so it cannot poison the next lookup
+        either) and counted as both corrupt and a miss.
         """
+        # Imported lazily: the distributed package imports the runners,
+        # which import this module.
+        from .distributed.wire import decode_partial
+
         path = self._path(key)
         try:
             data = path.read_bytes()
@@ -240,7 +237,7 @@ class ChunkCache:
                 raise ValueError("truncated header")
             if hashlib.sha256(payload).digest() != digest:
                 raise ValueError("checksum mismatch")
-            value = pickle.loads(payload)
+            value = decode_partial(json.loads(payload))
         except Exception:
             ChunkCache.counters["corrupt"] += 1
             ChunkCache.counters["misses"] += 1
@@ -261,8 +258,15 @@ class ChunkCache:
 
     def store(self, key: str, value) -> None:
         """Atomically persist one partial (best-effort, checksummed)."""
+        from .distributed.wire import WireError, encode_partial
+
+        try:
+            encoded = encode_partial(value)
+        except WireError:
+            ChunkCache.counters["write_errors"] += 1
+            return
+        payload = json.dumps(encoded, separators=(",", ":")).encode("utf-8")
         path = self._path(key)
-        payload = pickle.dumps(value)
         blob = _ENTRY_MAGIC + hashlib.sha256(payload).digest() + payload
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -286,11 +290,11 @@ class ChunkCache:
 
     def __len__(self) -> int:
         """Number of stored entries (walks the directory)."""
-        return sum(1 for _ in self.root.glob("*/*.pkl"))
+        return sum(1 for _ in self.root.glob("*/*.json"))
 
 
-def resolve_cache(path=None, salt: str = "") -> Optional[ChunkCache]:
+def resolve_cache(path=None) -> Optional[ChunkCache]:
     """Explicit path > ``REPRO_CACHE_DIR`` > no cache."""
     if path is not None:
-        return ChunkCache(path, salt=salt)
+        return ChunkCache(path)
     return ChunkCache.from_env()

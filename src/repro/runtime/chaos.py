@@ -551,7 +551,7 @@ def run_trial(spec: TrialSpec, campaign: _Campaign) -> TrialResult:
     # --- pre-phases: populate and damage the stores under test ------------
     if use_cache:
         _serial_prepass(campaign, engine, cache=ChunkCache(cache_dir))
-        entries = sorted(cache_dir.glob("*/*.pkl"))
+        entries = sorted(cache_dir.glob("*/*.json"))
         if not entries:
             failures.append("cache warm-up stored no entries")
         else:

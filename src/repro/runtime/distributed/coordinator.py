@@ -188,11 +188,10 @@ class DistributedRunner(BatchRunner):
         connect_timeout_s: float = 5.0,
         heartbeat_s: Optional[float] = None,
         journal=None,
-        schedule: Optional[str] = None,
     ):
         super().__init__(
             chunk_size=chunk_size, retry=retry, fault=fault, cache=cache,
-            backend=backend, journal=journal, schedule=schedule,
+            backend=backend, journal=journal,
         )
         self.worker_addrs = parse_workers(workers)
         if not self.worker_addrs:
@@ -223,7 +222,7 @@ class DistributedRunner(BatchRunner):
             serial = SerialRunner(
                 chunk_size=self.chunk_size, retry=self.retry,
                 fault=self.fault, cache=self.cache, backend=self.exec_backend,
-                journal=self.journal, schedule=self.schedule,
+                journal=self.journal,
             )
             serial.chunk_observer = self.chunk_observer
             try:
@@ -235,7 +234,6 @@ class DistributedRunner(BatchRunner):
 
         t0 = time.perf_counter()
         log = BatchLog(observer=self.chunk_observer)
-        log.task_weights = self._batch_weights(tasks)
         state = _BatchState(self, tasks, specs, early_stop, log)
         interrupted: Optional[BaseException] = None
         for wc in fleet:
@@ -425,22 +423,6 @@ class _BatchState:
                 self.chunks.append(chunk)
                 self.pending.append(chunk)
             self.per_task.append(records)
-        if runner.schedule == "cost" and log.task_weights:
-            # LPT pull order: workers claim predicted-expensive chunks
-            # first, cheap ones backfill the tail.  Folding stays in
-            # ascending span order (``_fold`` buffers out-of-order
-            # arrivals), so results are dispatch-order-invariant.
-            weights = log.task_weights
-            self.pending = deque(
-                sorted(
-                    self.pending,
-                    key=lambda c: (
-                        -weights.get(c.ti, 0.0) * (c.stop - c.start),
-                        c.ti,
-                        c.start,
-                    ),
-                )
-            )
         # Resume: resolve journaled spans before any scheduling, folding
         # them in ascending span order so early stopping fires at the
         # same run indices as an uninterrupted serial batch.  Resolved

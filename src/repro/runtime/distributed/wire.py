@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+from collections import Counter
 from typing import Optional
 
 from ...core.events import FairnessEvent
@@ -104,10 +105,12 @@ def recv_frame(sock: socket.socket) -> dict:
 def encode_partial(value):
     """Tagged-JSON form of a mergeable chunk partial.
 
-    Supports exactly the partial types the distributed venue ships:
-    :class:`EventCounts`, ``int``, and tuples/lists of those.  Raises
-    :class:`WireError` on anything else — the coordinator then executes
-    that task locally instead of shipping it.
+    Supports exactly the partial types the distributed venue ships and
+    the chunk stores persist: :class:`EventCounts`, ``int``, a
+    ``collections.Counter`` with ``str`` keys and ``int`` counts, and
+    tuples/lists of those.  Raises :class:`WireError` on anything else —
+    the coordinator then executes that task locally instead of shipping
+    it, and the stores skip the chunk.
     """
     if isinstance(value, bool):
         raise WireError("bool is not a mergeable partial")
@@ -125,6 +128,13 @@ def encode_partial(value):
                 for subset, c in value.corruption_counts.items()
             ],
         }
+    if isinstance(value, Counter):
+        items = [[k, c] for k, c in value.items()]
+        if not all(
+            isinstance(k, str) and type(c) is int for k, c in items
+        ):
+            raise WireError("Counter partials need str keys and int counts")
+        return {"t": "counter", "v": items}
     if isinstance(value, (tuple, list)):
         return {"t": "tuple", "v": [encode_partial(item) for item in value]}
     raise WireError(
@@ -146,6 +156,13 @@ def decode_partial(payload):
         for members, c in payload["corr"]:
             counts.corruption_counts[frozenset(members)] = int(c)
         return counts
+    if tag == "counter":
+        counter = Counter()
+        for key, c in payload["v"]:
+            if not isinstance(key, str):
+                raise WireError("Counter partial keys must be str")
+            counter[key] = int(c)
+        return counter
     if tag == "tuple":
         return tuple(decode_partial(item) for item in payload["v"])
     raise WireError(f"unknown partial tag {tag!r}")

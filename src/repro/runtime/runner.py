@@ -48,25 +48,14 @@ from .early_stop import EarlyStopRule
 from .journal import RunJournal
 from .retry import ChunkTimeout, FaultSpec, RetryPolicy, run_task_chunk
 from .stats import BatchLog, RunStats
-from .tasks import SCHEDULES, merge_partials, plan_chunks
+from .tasks import merge_partials, plan_chunks
 from .vectorized import BackendError, resolve_backend
 
 #: Environment variable consulted when no explicit ``jobs`` is given.
 REPRO_JOBS_ENV = "REPRO_JOBS"
 
-#: Environment variable consulted when no explicit ``schedule`` is given.
-ENV_SCHEDULE = "REPRO_SCHEDULE"
-
 #: Environment variable consulted when no explicit ``chunk_size`` is given.
 ENV_CHUNK_SIZE = "REPRO_CHUNK_SIZE"
-
-#: Measured vectorized-over-reference speedup (BENCH_vectorized.json).
-#: The cost planner divides a task's predicted weight by this when the
-#: task will execute on a NumPy kernel: a vectorized run costs ~1/35th
-#: of its reference-engine prediction, and chunk sizing should reflect
-#: the engine that will actually run.  Intentionally a fixed constant
-#: (not re-measured per host) so plans are machine-independent.
-VECTORIZED_DISCOUNT = 35.0
 
 #: Batches smaller than this run serially even when a pool was requested.
 SMALL_BATCH_THRESHOLD = 64
@@ -121,26 +110,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, jobs)
 
 
-def resolve_schedule(schedule: Optional[str] = None) -> str:
-    """Effective chunk-planning mode: explicit arg > ``REPRO_SCHEDULE`` >
-    ``"uniform"``.  Validated against :data:`~repro.runtime.tasks.SCHEDULES`,
-    naming the environment variable when the bad value came from it."""
-    if schedule is not None:
-        if schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
-            )
-        return schedule
-    raw = os.environ.get(ENV_SCHEDULE, "").strip().lower()
-    if not raw:
-        return "uniform"
-    if raw not in SCHEDULES:
-        raise ValueError(
-            f"{ENV_SCHEDULE} must be one of {SCHEDULES}, got {raw!r}"
-        )
-    return raw
-
-
 def resolve_chunk_size(chunk_size: Optional[int] = None) -> Optional[int]:
     """Effective chunk size: explicit arg > ``REPRO_CHUNK_SIZE`` > ``None``
     (meaning "derive from ``n_runs``" — see ``default_chunk_size``).
@@ -180,7 +149,6 @@ def resolve_runner(
     backend: Optional[str] = None,
     workers=None,
     journal: Optional[RunJournal] = None,
-    schedule: Optional[str] = None,
 ) -> "BatchRunner":
     """Build the runner implied by ``workers``/``jobs`` (serial if ≤ 1).
 
@@ -198,17 +166,16 @@ def resolve_runner(
         return DistributedRunner(
             addrs, chunk_size=chunk_size, retry=retry, fault=fault,
             cache=cache, backend=backend, journal=journal,
-            schedule=schedule,
         )
     n = resolve_jobs(jobs)
     if n <= 1:
         return SerialRunner(
             chunk_size=chunk_size, retry=retry, fault=fault, cache=cache,
-            backend=backend, journal=journal, schedule=schedule,
+            backend=backend, journal=journal,
         )
     return ProcessPoolRunner(
         n, chunk_size=chunk_size, retry=retry, fault=fault, cache=cache,
-        backend=backend, journal=journal, schedule=schedule,
+        backend=backend, journal=journal,
     )
 
 
@@ -229,14 +196,8 @@ class BatchRunner:
         cache: Optional[ChunkCache] = None,
         backend: Optional[str] = None,
         journal: Optional[RunJournal] = None,
-        schedule: Optional[str] = None,
     ):
         self.chunk_size = resolve_chunk_size(chunk_size)
-        #: Chunk-planning mode (``"uniform"``/``"cost"`` — explicit
-        #: argument > ``REPRO_SCHEDULE`` > uniform).  Cost mode sizes
-        #: chunks from the symbolic cost models and dispatches predicted-
-        #: expensive chunks first (LPT) in the parallel venues.
-        self.schedule = resolve_schedule(schedule)
         self.retry = retry if retry is not None else RetryPolicy.from_env()
         fault = fault if fault is not None else FaultSpec.from_env()
         self.fault = fault if fault is not None and fault.active else None
@@ -284,57 +245,13 @@ class BatchRunner:
         """Convenience wrapper for single-task batches."""
         return self.run([task], early_stop=early_stop)[0]
 
-    def _task_weight(self, task) -> Optional[float]:
-        """Predicted per-run cost weight for one task, or ``None``.
-
-        ``None`` means the task's protocol is outside the symbolic cost
-        models' coverage (or the task has no protocol at all) — such
-        tasks keep uniform chunk sizing even under ``schedule="cost"``.
-        The weight is discounted by :data:`VECTORIZED_DISCOUNT` when the
-        execution-backend policy will route the task to a NumPy kernel.
-        Imported lazily: ``analysis`` imports ``runtime`` at module
-        load, so the reverse edge must wait until call time.
-        """
-        from ..analysis.symbolic_cost import evaluate, model_for
-
-        protocol = getattr(task, "protocol", None)
-        if protocol is None or model_for(protocol) is None:
-            return None
-        weight = evaluate(protocol).weight
-        if self.exec_backend != "reference":
-            from .vectorized import vectorizable
-
-            if vectorizable(task):
-                weight /= VECTORIZED_DISCOUNT
-        return weight
-
-    def _batch_weights(self, tasks: Sequence) -> dict:
-        """``{task_index: per-run weight}`` for every modelled task.
-
-        Computed under both schedule modes — it is pure observability
-        (``ChunkStats.predicted_cost``) until ``schedule="cost"`` also
-        feeds it to the planner and the LPT dispatch order.
-        """
-        weights = {}
-        for ti, task in enumerate(tasks):
-            weight = self._task_weight(task)
-            if weight is not None:
-                weights[ti] = weight
-        return weights
-
     def _plan(self, task) -> List[tuple]:
         # With no early stopping there is no reason to pay per-chunk
         # overhead in the serial backend, but the plan must stay a pure
-        # function of (task, cost model, chunk_size/schedule knobs) so
-        # every backend checks a stop rule at identical run indices and
-        # journal fingerprints replay across venues.
-        weight = None
-        if self.schedule == "cost":
-            weight = self._task_weight(task)
-        return plan_chunks(
-            task.n_runs, self.chunk_size,
-            schedule=self.schedule, weight=weight,
-        )
+        # function of (n_runs, chunk_size) so every backend checks a stop
+        # rule at identical run indices and journal fingerprints replay
+        # across venues.
+        return plan_chunks(task.n_runs, self.chunk_size)
 
     def _record(self, n_tasks, requested, t0, stopped, log: BatchLog) -> None:
         engines = {
@@ -379,7 +296,6 @@ class BatchRunner:
             cache_stores=log.cache_stores,
             execution_backend=execution_backend,
             vectorized_runs=log.vectorized_runs,
-            schedule=self.schedule,
             chunks=tuple(log.chunks),
         )
         self.stats_history.append(self.last_stats)
@@ -466,7 +382,6 @@ class SerialRunner(BatchRunner):
             and self.cache is None
             and self.journal is None
             and self.chunk_size is None
-            and self.schedule == "uniform"
         ):
             # Single sweep: identical result, no merge overhead.  (A
             # cache forces planned chunks so serial and pool batches
@@ -474,8 +389,7 @@ class SerialRunner(BatchRunner):
             # resume must find the exact spans the interrupted run
             # recorded, whichever venue wrote them; an explicit
             # chunk_size likewise, so the venues account interrupts over
-            # the same span set; cost scheduling likewise — its plan is
-            # the contract the parallel venues share.)
+            # the same span set.)
             return [(0, task.n_runs)]
         return self._plan(task)
 
@@ -483,7 +397,6 @@ class SerialRunner(BatchRunner):
         tasks = list(tasks)
         t0 = time.perf_counter()
         log = BatchLog(observer=self.chunk_observer)
-        log.task_weights = self._batch_weights(tasks)
         values: List = []
         stopped_any = False
         interrupted: Optional[BaseException] = None
@@ -606,11 +519,10 @@ class ProcessPoolRunner(BatchRunner):
         cache: Optional[ChunkCache] = None,
         backend: Optional[str] = None,
         journal: Optional[RunJournal] = None,
-        schedule: Optional[str] = None,
     ):
         super().__init__(
             chunk_size=chunk_size, retry=retry, fault=fault, cache=cache,
-            backend=backend, journal=journal, schedule=schedule,
+            backend=backend, journal=journal,
         )
         if jobs < 1:
             raise ValueError("ProcessPoolRunner needs at least one worker")
@@ -629,7 +541,6 @@ class ProcessPoolRunner(BatchRunner):
                 chunk_size=self.chunk_size, retry=self.retry,
                 fault=self.fault, cache=self.cache,
                 backend=self.exec_backend, journal=self.journal,
-                schedule=self.schedule,
             )
             serial.chunk_observer = self.chunk_observer
             try:
@@ -643,7 +554,6 @@ class ProcessPoolRunner(BatchRunner):
         plans = [self._plan(task) for task in tasks]
         values: List = [None] * len(tasks)
         log = BatchLog(observer=self.chunk_observer)
-        log.task_weights = self._batch_weights(tasks)
         stopped_any = False
         interrupted: Optional[BaseException] = None
         self._pool_broken = False
@@ -672,34 +582,13 @@ class ProcessPoolRunner(BatchRunner):
                         )
                         if hit:
                             journaled[(ti, start, stop)] = part
-            # Submission order: plan order under the uniform schedule;
-            # predicted-cost-descending (LPT) under the cost schedule, so
-            # the most expensive chunks claim workers first and cheap
-            # chunks backfill the stragglers' tail.  Consumption — and
-            # therefore merging, early stopping, and every result — stays
-            # in plan order regardless: dispatch order is pure wall-clock
-            # policy, invisible to the fold.
-            order = [
-                (ti, span)
-                for ti, plan in enumerate(plans)
-                for span in plan
-                if (ti, span[0], span[1]) not in journaled
-            ]
-            if self.schedule == "cost":
-                weights = log.task_weights
-                order.sort(
-                    key=lambda item: (
-                        -weights.get(item[0], 0.0)
-                        * (item[1][1] - item[1][0]),
-                        item[0],
-                        item[1][0],
-                    )
-                )
             futures = {
-                (ti, span[0], span[1]): pool.submit(
-                    _worker_run_chunk, ti, span[0], span[1], 0, self.fault
+                (ti, start, stop): pool.submit(
+                    _worker_run_chunk, ti, start, stop, 0, self.fault
                 )
-                for ti, span in order
+                for ti, plan in enumerate(plans)
+                for start, stop in plan
+                if (ti, start, stop) not in journaled
             }
             submitted = [
                 [

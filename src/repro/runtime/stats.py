@@ -16,7 +16,7 @@ alongside the measurements themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.utility import EventCounts
 
@@ -47,13 +47,6 @@ class ChunkStats:
     served from disk, ``"stored"`` — computed and persisted, ``""`` — no
     cache involved.
 
-    ``predicted_cost`` is the chunk's cost-model prediction — the
-    task's per-run :attr:`~repro.analysis.symbolic_cost.PredictedCost.weight`
-    times the span length, with the vectorized discount applied when the
-    task will take a NumPy kernel — and is ``0.0`` for tasks outside the
-    model's coverage.  It is populated under both schedule modes, so a
-    uniform run still shows what the cost planner *would* have seen.
-
     ``backend`` names the *venue* (``"serial"``/``"process-pool"``/
     ``"distributed"``); ``engine`` names the execution engine that
     computed the partial — ``"reference"`` for the state machine,
@@ -78,7 +71,6 @@ class ChunkStats:
     cache: str = ""
     engine: str = "reference"
     worker: str = ""
-    predicted_cost: float = 0.0
 
     @property
     def n_runs(self) -> int:
@@ -102,8 +94,6 @@ class RunStats:
     ``"reference"``, ``"vectorized"``, or ``"mixed"`` when a batch split
     between them (e.g. some tasks had kernels and others fell back).
     ``vectorized_runs`` counts the executions handled by NumPy kernels.
-    ``schedule`` records the chunk-planning mode the batch ran under
-    (``"uniform"`` or ``"cost"`` — see ``runtime.tasks.plan_chunks``).
     """
 
     backend: str
@@ -144,7 +134,6 @@ class RunStats:
     cache_stores: int = 0
     execution_backend: str = "reference"
     vectorized_runs: int = 0
-    schedule: str = "uniform"
     #: Service venue only (``repro serve``): snapshots of the job pool's
     #: dedupe and rate-limit counters, stamped onto the batch by
     #: ``service.jobs.JobPool`` when the job completes.  Zero for every
@@ -245,10 +234,6 @@ class BatchLog:
         self.cache_misses = 0
         self.cache_stores = 0
         self.vectorized_runs = 0
-        #: Per-task predicted cost weights (task index -> per-run weight),
-        #: set once per batch by the runner so ``chunk`` can stamp each
-        #: record's ``predicted_cost`` without every call site changing.
-        self.task_weights: Dict[int, float] = {}
         self.chunks: List[ChunkStats] = []
 
     def chunk(
@@ -343,9 +328,6 @@ class BatchLog:
             cache=cache_state,
             engine=engine,
             worker=worker,
-            predicted_cost=(
-                self.task_weights.get(task_index, 0.0) * (stop - start)
-            ),
         )
 
 

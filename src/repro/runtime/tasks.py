@@ -32,24 +32,6 @@ from ..engine.faults import EngineFaults
 from .cache import PHASES, faults_fingerprint
 
 
-#: Chunk-planning modes accepted by :func:`plan_chunks` (and the
-#: ``--schedule`` / ``REPRO_SCHEDULE`` knobs that select between them).
-SCHEDULES = ("uniform", "cost")
-
-#: Reference per-run weight the cost planner equalizes against: the
-#: cheapest modelled protocol (ΠSingleRound — 3 rounds + 2 messages +
-#: 2 functionality responses).  A fixed global constant, *not* the
-#: cheapest task in the batch, so a task's chunk size never depends on
-#: what else happens to be in the batch (journal fingerprints and cache
-#: keys are span-addressed and must survive batch recomposition).
-COST_UNIT_WEIGHT = 7.0
-
-#: Cost-mode chunks never grow beyond this multiple of the uniform size:
-#: very cheap (vectorized) tasks would otherwise collapse into a single
-#: mega-chunk, defeating early-stop granularity and pool balancing.
-COST_CHUNK_GROWTH = 4
-
-
 def default_chunk_size(n_runs: int) -> int:
     """Chunk size used when none is given: a pure function of ``n_runs``.
 
@@ -60,61 +42,21 @@ def default_chunk_size(n_runs: int) -> int:
     return max(16, math.ceil(n_runs / 32))
 
 
-def cost_chunk_size(
-    n_runs: int,
-    weight: Optional[float],
-    chunk_size: Optional[int] = None,
-) -> int:
-    """Chunk size that equalizes *predicted* per-chunk cost across tasks.
-
-    ``weight`` is the task's predicted per-run cost (see
-    ``analysis.symbolic_cost.PredictedCost.weight``, discounted for the
-    vectorized engine by the runner).  The uniform size for this
-    ``n_runs`` costs ``COST_UNIT_WEIGHT * base`` at the reference
-    weight; tasks above that per-run weight get proportionally smaller
-    chunks (down to 1 run), cheaper tasks proportionally larger ones
-    (capped at ``COST_CHUNK_GROWTH`` times the uniform size).  Tasks
-    without a cost model (``weight is None``) keep the uniform size.
-    A pure function of its arguments — no batch context — so plans stay
-    deterministic and batch-composition-independent.
-    """
-    base = chunk_size if chunk_size is not None else default_chunk_size(n_runs)
-    if weight is None or weight <= 0:
-        return base
-    target = COST_UNIT_WEIGHT * base
-    size = int(round(target / weight))
-    return max(1, min(size, COST_CHUNK_GROWTH * base))
-
-
 def plan_chunks(
-    n_runs: int,
-    chunk_size: Optional[int] = None,
-    schedule: str = "uniform",
-    weight: Optional[float] = None,
+    n_runs: int, chunk_size: Optional[int] = None
 ) -> List[Tuple[int, int]]:
     """Partition ``range(n_runs)`` into contiguous ``(start, stop)`` spans.
 
-    ``schedule="uniform"`` sizes every chunk identically (``chunk_size``
-    or :func:`default_chunk_size`); ``schedule="cost"`` resizes via
-    :func:`cost_chunk_size` so predicted per-chunk cost is roughly equal
-    across a heterogeneous batch.  Either way the plan is a pure
+    Every chunk but the last has ``chunk_size`` runs (or
+    :func:`default_chunk_size` when none is given).  The plan is a pure
     deterministic function of the arguments: same task, same knobs →
     byte-identical spans, on every venue.
     """
     if n_runs <= 0:
         raise ValueError("need at least one run")
-    if schedule not in SCHEDULES:
-        raise ValueError(
-            f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
-        )
     if chunk_size is not None and chunk_size <= 0:
         raise ValueError("chunk size must be positive")
-    if schedule == "cost":
-        size = cost_chunk_size(n_runs, weight, chunk_size)
-    else:
-        size = chunk_size if chunk_size is not None else default_chunk_size(n_runs)
-    if size <= 0:
-        raise ValueError("chunk size must be positive")
+    size = chunk_size if chunk_size is not None else default_chunk_size(n_runs)
     return [(lo, min(lo + size, n_runs)) for lo in range(0, n_runs, size)]
 
 

@@ -3,8 +3,9 @@
 The soundness bar for every cache in the runtime is bit-identity: a memo
 hit, a disk-cache hit, or a backend switch may never change a single
 event count.  These tests pin that, plus the key-sensitivity properties
-(different seed / fault config / protocol / salt ⇒ different keys) and
-the strict opt-in-ness of the persistent cache.
+(different seed / fault config / protocol ⇒ different keys), the
+pickle-free entry format, and the strict opt-in-ness of the persistent
+cache.
 """
 
 import os
@@ -104,14 +105,12 @@ class TestChunkCacheKeys:
 
     def test_key_changes_with_span_seed_salt(self, tmp_path):
         cache = ChunkCache(tmp_path)
-        salted = ChunkCache(tmp_path, salt="gamma=0,0,1,0.5")
         (task,) = _tasks()[:1]
         (other_seed,) = _tasks(seed="other")[:1]
         base = cache.key_for(task, 0, 10)
         assert cache.key_for(task, 0, 20) != base
         assert cache.key_for(task, 10, 20) != base
         assert cache.key_for(other_seed, 0, 10) != base
-        assert salted.key_for(task, 0, 10) != base
 
     def test_key_changes_with_fault_config(self, tmp_path):
         cache = ChunkCache(tmp_path)
@@ -203,10 +202,10 @@ class TestChunkCacheCorrectness:
         tasks = _tasks()
         base = SerialRunner().run(tasks)
         SerialRunner(cache=ChunkCache(tmp_path)).run(tasks)
-        entries = list(tmp_path.glob("*/*.pkl"))
+        entries = list(tmp_path.glob("*/*.json"))
         assert entries
         for entry in entries:
-            entry.write_bytes(b"not a pickle")
+            entry.write_bytes(b"not an entry")
         repaired = SerialRunner(cache=ChunkCache(tmp_path))
         assert repaired.run(tasks) == base
         stats = repaired.last_stats
@@ -214,8 +213,8 @@ class TestChunkCacheCorrectness:
         # and quarantined aside so it cannot poison the next lookup.
         assert stats.cache_corrupt_entries == len(entries)
         assert stats.cache_misses >= len(entries)
-        assert not list(tmp_path.glob("*/*.pkl")) or all(
-            e.suffix == ".pkl" for e in tmp_path.glob("*/*.pkl")
+        assert not list(tmp_path.glob("*/*.json")) or all(
+            e.suffix == ".json" for e in tmp_path.glob("*/*.json")
         )
         assert len(list(tmp_path.glob("*/*.corrupt"))) == len(entries)
 
@@ -223,7 +222,7 @@ class TestChunkCacheCorrectness:
         tasks = _tasks()
         base = SerialRunner().run(tasks)
         SerialRunner(cache=ChunkCache(tmp_path)).run(tasks)
-        entry = sorted(tmp_path.glob("*/*.pkl"))[0]
+        entry = sorted(tmp_path.glob("*/*.json"))[0]
         blob = bytearray(entry.read_bytes())
         blob[len(blob) // 2] ^= 0xFF  # magic stays intact, payload does not
         entry.write_bytes(bytes(blob))
@@ -233,6 +232,67 @@ class TestChunkCacheCorrectness:
         assert stats.cache_corrupt_entries == 1
         assert stats.cache_hits > 0  # undamaged entries still serve
         assert entry.with_suffix(".corrupt").exists()
+
+    def test_pickle_payload_is_corrupt_and_never_unpickled(
+        self, tmp_path, monkeypatch
+    ):
+        # A well-formed header (current magic, matching SHA-256) over a
+        # pickled payload: what a hostile writer to a shared cache
+        # directory would plant.  It must be rejected without ever
+        # reaching the unpickler.
+        import hashlib
+        import pickle
+
+        import repro.runtime.cache as cache_mod
+
+        (task,) = _tasks()[:1]
+        value = task.run_chunk(0, 10)
+        cache = ChunkCache(tmp_path)
+        key = cache.key_for(task, 0, 10)
+        payload = pickle.dumps(value)
+        path = cache._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(
+            cache_mod._ENTRY_MAGIC + hashlib.sha256(payload).digest() + payload
+        )
+        unpickled = []
+        monkeypatch.setattr(
+            pickle, "loads", lambda *a, **k: unpickled.append(a)
+        )
+        before = instrumentation_snapshot()
+        assert cache.fetch(key) == (False, None)
+        assert unpickled == []
+        delta = instrumentation_delta(before)
+        assert delta["cache_corrupt"] == 1
+        assert delta["cache_misses"] == 1
+        assert delta["cache_hits"] == 0
+        assert not path.exists()
+        assert path.with_suffix(".corrupt").exists()
+
+    def test_warm_hit_preserves_counts_and_their_order(self, tmp_path):
+        (task,) = _tasks()[:1]
+        computed = task.run_chunk(0, 50)
+        cache = ChunkCache(tmp_path)
+        key = cache.key_for(task, 0, 50)
+        cache.store(key, computed)
+        hit, fetched = ChunkCache(tmp_path).fetch(key)
+        assert hit
+        assert fetched == computed
+        assert list(fetched.counts.items()) == list(computed.counts.items())
+        assert list(fetched.corruption_counts.items()) == list(
+            computed.corruption_counts.items()
+        )
+
+    def test_unencodable_partial_is_a_write_error(self, tmp_path):
+        cache = ChunkCache(tmp_path)
+        (task,) = _tasks()[:1]
+        key = cache.key_for(task, 0, 10)
+        before = instrumentation_snapshot()
+        cache.store(key, {"not": "a partial"})
+        delta = instrumentation_delta(before)
+        assert delta["cache_write_errors"] == 1
+        assert delta["cache_stores"] == 0
+        assert len(cache) == 0
 
     def test_write_error_counted(self, tmp_path):
         # chmod tricks do not bind as root, so make the store path

@@ -17,6 +17,7 @@ import struct
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -177,6 +178,18 @@ class TestPartialCodec:
         assert list(dec.corruption_counts.keys()) == list(
             part.corruption_counts.keys()
         )
+
+    def test_str_counter_round_trip_preserves_key_order(self):
+        part = Counter({"b": 2, "a": 1, "c": 3})
+        dec = decode_partial(json.loads(json.dumps(encode_partial(part))))
+        assert isinstance(dec, Counter)
+        assert list(dec.items()) == list(part.items())
+
+    def test_counter_with_non_str_keys_rejected(self):
+        for part in (Counter({1: 2}), Counter({("a",): 1}),
+                     Counter({"a": 1.5})):
+            with pytest.raises(WireError):
+                encode_partial(part)
 
     def test_wire_form_is_json_safe(self):
         part = EventCounts()

@@ -28,15 +28,12 @@ from repro.protocols import (
     OptNSfeProtocol,
 )
 from repro.runtime import (
-    COST_CHUNK_GROWTH,
-    COST_UNIT_WEIGHT,
     CiWidthStop,
     ExecutionTask,
     ProcessPoolRunner,
     RunStats,
     SerialRunner,
     UtilityBoundStop,
-    cost_chunk_size,
     default_chunk_size,
     merge_partials,
     plan_chunks,
@@ -125,8 +122,6 @@ class TestChunkPlanning:
         with pytest.raises(ValueError):
             plan_chunks(0)
         with pytest.raises(ValueError):
-            plan_chunks(0, schedule="cost", weight=8.0)
-        with pytest.raises(ValueError):
             plan_chunks(-5)
 
     def test_chunk_size_larger_than_n_runs(self):
@@ -142,34 +137,18 @@ class TestChunkPlanning:
         for bad in (0, -1):
             with pytest.raises(ValueError):
                 plan_chunks(10, bad)
-            with pytest.raises(ValueError):
-                plan_chunks(10, bad, schedule="cost", weight=8.0)
-
-    def test_rejects_unknown_schedule(self):
-        with pytest.raises(ValueError, match="unknown schedule"):
-            plan_chunks(10, schedule="fastest")
 
     @given(
         n_runs=st.integers(min_value=1, max_value=2000),
         chunk_size=st.one_of(
             st.none(), st.integers(min_value=1, max_value=700)
         ),
-        schedule=st.sampled_from(["uniform", "cost"]),
-        weight=st.one_of(
-            st.none(),
-            st.floats(
-                min_value=0.05, max_value=500.0,
-                allow_nan=False, allow_infinity=False,
-            ),
-        ),
     )
     @settings(max_examples=200, deadline=None)
-    def test_spans_tile_exactly(self, n_runs, chunk_size, schedule, weight):
-        # Both planning modes must partition [0, n_runs) exactly: spans
-        # are contiguous, non-overlapping, start at 0, and end at n_runs.
-        spans = plan_chunks(
-            n_runs, chunk_size, schedule=schedule, weight=weight
-        )
+    def test_spans_tile_exactly(self, n_runs, chunk_size):
+        # The plan must partition [0, n_runs) exactly: spans are
+        # contiguous, non-overlapping, start at 0, and end at n_runs.
+        spans = plan_chunks(n_runs, chunk_size)
         assert spans[0][0] == 0
         assert spans[-1][1] == n_runs
         for start, stop in spans:
@@ -177,25 +156,7 @@ class TestChunkPlanning:
         for (_, stop), (start, _) in zip(spans, spans[1:]):
             assert stop == start
         # Determinism: the plan is a pure function of its arguments.
-        assert spans == plan_chunks(
-            n_runs, chunk_size, schedule=schedule, weight=weight
-        )
-
-    def test_cost_mode_sizes_by_weight(self):
-        base = default_chunk_size(640)
-        cheap = plan_chunks(640, schedule="cost", weight=COST_UNIT_WEIGHT / 8)
-        expensive = plan_chunks(640, schedule="cost", weight=400.0)
-        reference = plan_chunks(640, schedule="cost", weight=COST_UNIT_WEIGHT)
-        unmodelled = plan_chunks(640, schedule="cost", weight=None)
-        assert len(expensive) > len(reference) > len(cheap)
-        # A task at exactly the reference weight keeps the uniform size;
-        # an unmodelled task always does.
-        assert reference == plan_chunks(640)
-        assert unmodelled == plan_chunks(640)
-        # Growth is capped so cheap tasks keep early-stop granularity.
-        assert cost_chunk_size(640, 0.001) == COST_CHUNK_GROWTH * base
-        # Expensive tasks bottom out at single-run chunks.
-        assert cost_chunk_size(640, 1e9) == 1
+        assert spans == plan_chunks(n_runs, chunk_size)
 
     def test_merge_partials_tuples_and_ints(self):
         assert merge_partials(2, 3) == 5

@@ -1,15 +1,15 @@
-"""Symbolic cost models and the cost-aware scheduler.
+"""Symbolic cost models, and chunk planning across tasks of unequal cost.
 
-Covers the three layers of the cost subsystem: the closed forms in
-``analysis/symbolic_cost.py`` (predictions must match ``measure_cost``
-exactly and sympy substitution bit for bit, and need no sympy), the E21
-claim family that pins that agreement, and the ``schedule="cost"``
-runtime mode (bit-identical results, deterministic venue-invariant
-plans, LPT dispatch, observability fields, env knobs).
+Covers the closed forms in ``analysis/symbolic_cost.py`` (predictions
+must match ``measure_cost`` exactly and sympy substitution bit for bit,
+and need no sympy), the E21 claim family that pins that agreement, and
+the runtime's single chunk plan for heterogeneous batches
+(deterministic, venue-invariant, independent of predicted cost; env
+knobs; observability fields).
 """
 
-import os
 import textwrap
+from dataclasses import fields
 
 import pytest
 
@@ -22,7 +22,6 @@ from repro.analysis.export import (
 from repro.analysis.symbolic_cost import (
     HAVE_SYMPY,
     SYMBOLS,
-    PredictedCost,
     covered,
     covered_families,
     evaluate,
@@ -42,12 +41,12 @@ from repro.protocols import (
 from repro.protocols.gradual_release import RELEASE_BITS, GradualReleaseProtocol
 from repro.runtime import (
     ENV_CHUNK_SIZE,
-    ENV_SCHEDULE,
+    ChunkStats,
     ExecutionTask,
     ProcessPoolRunner,
     SerialRunner,
+    plan_chunks,
     resolve_chunk_size,
-    resolve_schedule,
 )
 from repro.runtime.distributed import DistributedRunner
 
@@ -101,11 +100,6 @@ class TestSymbolicModels:
         assert gr.point_to_point_messages == 2 * RELEASE_BITS + 2
         nsfe = evaluate(OptNSfeProtocol(make_concat(5, 8)))
         assert (nsfe.broadcasts, nsfe.functionality_responses) == (5, 5)
-
-    def test_weight_is_rounds_plus_traffic(self):
-        cost = PredictedCost("x", 4, 2, 0, 2)
-        assert cost.total_messages == 4
-        assert cost.weight == 8.0
 
     @pytest.mark.skipif(not HAVE_SYMPY, reason="needs sympy")
     def test_evaluate_matches_sympy_substitution(self):
@@ -198,20 +192,11 @@ class TestSymbolicModels:
 
 class TestScheduleKnobs:
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_SCHEDULE, "cost")
-        assert resolve_schedule("uniform") == "uniform"
-        assert resolve_schedule() == "cost"
-        monkeypatch.delenv(ENV_SCHEDULE)
-        assert resolve_schedule() == "uniform"
-
-    def test_env_schedule_validation_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(ENV_SCHEDULE, "fastest")
-        with pytest.raises(ValueError, match="REPRO_SCHEDULE"):
-            resolve_schedule()
-
-    def test_explicit_schedule_validation(self):
-        with pytest.raises(ValueError, match="unknown schedule"):
-            resolve_schedule("fastest")
+        monkeypatch.setenv(ENV_CHUNK_SIZE, "25")
+        assert SerialRunner(chunk_size=10).chunk_size == 10
+        assert SerialRunner().chunk_size == 25
+        monkeypatch.delenv(ENV_CHUNK_SIZE)
+        assert SerialRunner().chunk_size is None
 
     def test_chunk_size_env_mirrors_flag(self, monkeypatch):
         monkeypatch.setenv(ENV_CHUNK_SIZE, "25")
@@ -233,14 +218,13 @@ class TestScheduleKnobs:
             resolve_chunk_size(0)
 
     def test_runner_reads_env_knobs(self, monkeypatch):
-        monkeypatch.setenv(ENV_SCHEDULE, "cost")
         monkeypatch.setenv(ENV_CHUNK_SIZE, "17")
         runner = SerialRunner()
-        assert runner.schedule == "cost"
         assert runner.chunk_size == 17
+        assert runner._plan(_hetero_tasks()[0])[0] == (0, 17)
 
 
-# -- the cost schedule at runtime -------------------------------------------
+# -- chunk planning across tasks of unequal cost ------------------------------
 
 
 def _hetero_tasks(n_runs=120):
@@ -262,96 +246,50 @@ def _hetero_tasks(n_runs=120):
 
 
 class TestCostSchedule:
-    def test_results_identical_across_schedules(self):
-        uniform = SerialRunner(schedule="uniform").run(_hetero_tasks())
-        cost = SerialRunner(schedule="cost").run(_hetero_tasks())
-        assert uniform == cost
+    """A batch whose tasks differ ~35x in predicted cost still gets one
+    uniform chunk plan per task: cost models never size or order
+    chunks."""
 
     def test_plans_deterministic_and_venue_invariant(self):
-        # The plan is a pure function of (task, cost model, knobs): the
+        # The plan is a pure function of (n_runs, chunk_size): the
         # serial, pool, and distributed venues must derive byte-identical
         # span sets, or journal fingerprints could not replay across them.
         task = _hetero_tasks()[0]
-        serial = SerialRunner(schedule="cost")
-        pool = ProcessPoolRunner(2, min_parallel_runs=0, schedule="cost")
-        dist = DistributedRunner(["127.0.0.1:9"], schedule="cost")
+        serial = SerialRunner()
+        pool = ProcessPoolRunner(2, min_parallel_runs=0)
+        dist = DistributedRunner(["127.0.0.1:9"])
         plans = {tuple(r._plan(task)) for r in (serial, pool, dist)}
         assert len(plans) == 1
         assert serial._plan(task) == serial._plan(task)
 
-    def test_expensive_tasks_get_smaller_chunks(self):
-        runner = SerialRunner(schedule="cost")
-        tasks = _hetero_tasks()
-        gk_plan = runner._plan(tasks[0])
-        single_plan = runner._plan(tasks[1])
-        assert len(gk_plan) > len(single_plan)
-
-    def test_pool_cost_schedule_matches_serial(self):
-        tasks = _hetero_tasks()
-        serial = SerialRunner(schedule="cost")
-        expected = serial.run(_hetero_tasks())
-        pool = ProcessPoolRunner(2, min_parallel_runs=0, schedule="cost")
-        got = pool.run(tasks)
-        assert got == expected
-        if pool.last_stats.backend == "process-pool":
-            # LPT dispatch must not change the consumed span set.
-            assert sorted(pool.last_stats.chunk_spans) == sorted(
-                serial.last_stats.chunk_spans
-            )
-
     def test_observability_fields(self):
-        runner = SerialRunner(schedule="cost")
+        runner = SerialRunner(chunk_size=16)
         runner.run(_hetero_tasks(n_runs=40))
         stats = runner.last_stats
-        assert stats.schedule == "cost"
-        assert all(c.predicted_cost > 0 for c in stats.chunks)
+        # Every task's plan shows up span for span in the chunk records.
+        assert stats.chunk_spans == tuple(
+            (ti, start, stop)
+            for ti in range(3)
+            for start, stop in plan_chunks(40, 16)
+        )
+        # Every ChunkStats field is exported, and nothing else.
         exported = run_stats_to_dict(stats)
-        assert exported["schedule"] == "cost"
-        assert "predicted_cost" in chunk_stats_to_dict(stats.chunks[0])
-        # GK chunks predict heavier than single-round chunks per run.
-        by_task = {}
-        for c in stats.chunks:
-            by_task.setdefault(c.task_index, c.predicted_cost / c.n_runs)
-        assert by_task[0] > by_task[1]
-
-    def test_uniform_runs_still_report_predicted_cost(self):
-        runner = SerialRunner(schedule="uniform", chunk_size=16)
-        runner.run(_hetero_tasks(n_runs=40))
-        stats = runner.last_stats
-        assert stats.schedule == "uniform"
-        assert any(c.predicted_cost > 0 for c in stats.chunks)
+        chunk = exported["chunks"][0]
+        assert set(chunk) == {f.name for f in fields(ChunkStats)}
+        assert chunk == chunk_stats_to_dict(stats.chunks[0])
+        assert (chunk["task_index"], chunk["start"], chunk["stop"]) == (
+            0, 0, 16,
+        )
 
     def test_unmodelled_tasks_keep_uniform_plan(self):
-        task = ExecutionTask(
-            DummyProtocol(make_swap(8)), _passive(), 100, seed=("sched", 9)
+        unmodelled = ExecutionTask(
+            DummyProtocol(make_swap(8)), _passive(), 120, seed=("sched", 9)
         )
-        cost = SerialRunner(schedule="cost")
-        uniform = SerialRunner(schedule="uniform", chunk_size=None)
-        assert cost._plan(task) == uniform._plan(task)
-        cost.run([task])
-        assert all(
-            c.predicted_cost == 0.0 for c in cost.last_stats.chunks
-        )
-
-    def test_cost_resume_replays_across_venues(self, tmp_path):
-        # Journal written under the cost schedule by the serial venue,
-        # resumed by the pool venue: every span must replay, proving the
-        # cost plan (and its fingerprints) is venue-invariant.
-        from repro.runtime import RunJournal
-
-        first = SerialRunner(
-            schedule="cost", journal=RunJournal(tmp_path)
-        )
-        expected = first.run(_hetero_tasks())
-        resumed = ProcessPoolRunner(
-            2, min_parallel_runs=0, schedule="cost",
-            journal=RunJournal(tmp_path, resume=True),
-        )
-        got = resumed.run(_hetero_tasks())
-        assert got == expected
-        stats = resumed.last_stats
-        assert stats.journal_replayed_chunks == first.last_stats.n_chunks
-        assert all(c.engine == "journal" for c in stats.chunks)
+        runner = SerialRunner()
+        # Modelled or not, cheap or expensive: the same n_runs gets the
+        # same plan.
+        for task in (unmodelled, *_hetero_tasks()):
+            assert runner._plan(task) == plan_chunks(120)
 
 
 # -- E21 claims --------------------------------------------------------------
