@@ -13,6 +13,7 @@ from .immutable import Immutable
 
 import hashlib
 import hmac
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,8 @@ _BLOCK_SIZE = 64  # SHA-256 block size, the HMAC pad width
 #: ``bytes.translate`` tables XOR-ing every byte with the HMAC pads.
 _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
+#: The 4-byte big-endian length prefix of a tuple element's encoding.
+_pack_length = struct.Struct(">I").pack
 
 
 @dataclass(frozen=True)
@@ -60,20 +63,34 @@ def gen_mac_key(rng: Rng) -> MacKey:
 
 
 def _encode(message) -> bytes:
-    """Canonical byte encoding for the message types the library MACs."""
+    """Canonical byte encoding for the message types the library MACs.
+
+    A tuple encodes its exact ``int``/``str``/``bytes`` elements inline
+    (every Gordon–Katz reveal token is a ``(str, int, int)``); any other
+    element, ``bool``, ``IntEnum``, ``None`` and nested tuples included,
+    recurses, which gives the same bytes.
+    """
+    if isinstance(message, tuple):
+        parts = [b"T"]
+        append = parts.append
+        for m in message:
+            kind = type(m)
+            if kind is int:
+                encoded = b"I%d" % m
+            elif kind is str:
+                encoded = b"S" + m.encode()
+            elif kind is bytes:
+                encoded = b"B" + m
+            else:
+                encoded = _encode(m)
+            append(_pack_length(len(encoded)) + encoded)
+        return b"".join(parts)
     if isinstance(message, bytes):
         return b"B" + message
     if isinstance(message, int):
         return b"I" + str(message).encode()
     if isinstance(message, str):
         return b"S" + message.encode()
-    if isinstance(message, tuple):
-        parts = [b"T"]
-        for m in message:
-            encoded = _encode(m)
-            parts.append(len(encoded).to_bytes(4, "big"))
-            parts.append(encoded)
-        return b"".join(parts)
     if message is None:
         return b"N"
     raise TypeError(f"cannot MAC message of type {type(message).__name__}")
@@ -96,5 +113,16 @@ def tag(message, key: MacKey) -> bytes:
 
 
 def verify(message, candidate_tag: bytes, key: MacKey) -> bool:
-    """Constant-time verification of a MAC tag."""
-    return hmac.compare_digest(tag(message, key), candidate_tag)
+    """Constant-time verification of a MAC tag.
+
+    ``False``, never an exception, when ``candidate_tag`` is not ``bytes``
+    or :func:`_encode` cannot encode ``message``: a malformed tag or
+    message fails verification like a wrong one.
+    """
+    if not isinstance(candidate_tag, bytes):
+        return False
+    try:
+        expected = tag(message, key)
+    except TypeError:
+        return False
+    return hmac.compare_digest(expected, candidate_tag)

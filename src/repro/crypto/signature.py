@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .immutable import Immutable
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
@@ -24,6 +25,10 @@ from .prf import Rng
 
 _HASH_BITS = 256
 _CHUNK = 32  # bytes per preimage
+#: Bound of the :func:`ver` memo.  Keep it tiny: each entry holds a
+#: verification key alive, and a verifier repeats its most recent triples.
+VER_MEMO_SIZE = 4
+_EXACT_BYTES = {bytes}
 
 
 @dataclass(frozen=True)
@@ -87,19 +92,38 @@ def sign(message, sk: SigningKey) -> Signature:
 
 
 def ver(message, signature, vk: VerificationKey) -> bool:
-    """Verify a signature (paper notation: ``Ver``)."""
+    """Verify a signature (paper notation: ``Ver``).
+
+    The hash check is memoised by value, never by ``id()``, on ``(digest,
+    preimages, vk.pairs)`` in :func:`_check_preimages`: ΠOptnSFE has every
+    honest party verify the same phase-1 triple.  Only preimages that are
+    all exact ``bytes`` are looked up, since their equality is content
+    equality; anything else, or an unhashable key, is checked directly.
+    """
     if not isinstance(signature, Signature):
         return False
-    if len(signature.preimages) != _HASH_BITS:
+    preimages = signature.preimages
+    if len(preimages) != _HASH_BITS:
         return False
     try:
         digest = _digest(message)
     except TypeError:
         return False
+    pairs = vk.pairs
+    if set(map(type, preimages)) == _EXACT_BYTES:
+        try:
+            return _check_preimages(digest, preimages, pairs)
+        except TypeError:
+            pass
+    return _check_preimages.__wrapped__(digest, preimages, pairs)
+
+
+@functools.lru_cache(maxsize=VER_MEMO_SIZE)
+def _check_preimages(digest: bytes, preimages: tuple, pairs: tuple) -> bool:
+    """Does each preimage hash to the public value its digest bit picks?"""
     sha256 = hashlib.sha256
     compare = hmac.compare_digest
-    bits = _bits(digest)
-    for preimage, pair, bit in zip(signature.preimages, vk.pairs, bits):
+    for preimage, pair, bit in zip(preimages, pairs, _bits(digest)):
         if not isinstance(preimage, bytes):
             return False
         if not compare(sha256(preimage).digest(), pair[bit]):

@@ -145,7 +145,7 @@ class Execution:
         self.fault_events: Dict[str, int] = {}
 
         # Per-round state the RoundInterface reads.
-        self.current_inboxes: Dict[int, Inbox] = {}
+        self.current_inboxes: List[Inbox] = []
         self.pending_honest_messages: List[Message] = []
 
     # -- corruption ---------------------------------------------------------
@@ -170,31 +170,48 @@ class Execution:
         for i in sorted(self.adversary.initial_corruptions(self.n)):
             self.corrupt_party(i)
 
-        inboxes: Dict[int, Inbox] = {i: Inbox() for i in range(self.n)}
+        n = self.n
+        parties = range(n)
+        runners = self.runners
+        adversary = self.adversary
+        functionalities = self.functionalities
+        rng = self.rng
+        # Mutated in place, never rebound, so the locals stay current.
+        corrupted = self.corrupted
+        crashed = self.crashed
+        failed = self._failed
+        crash_rounds = self._crash_rounds
+        delayed = self._delayed
+        faults_active = self.faults_active
+        transcript_append = self.transcript.append
+        log_append = self.adversary_log.append
+
+        inboxes: List[Inbox] = [Inbox() for _ in parties]
         rounds_used = 0
 
         for round_no in range(self.protocol.max_rounds):
             self.current_inboxes = inboxes
-            self.pending_honest_messages = []
-            honest_func_inputs: Dict[str, Dict[int, object]] = {}
+            pending = self.pending_honest_messages = []
+            func_inputs: Dict[str, Dict[int, object]] = {}
 
             # 1. Honest parties act on this round's inbox.
-            for i, runner in enumerate(self.runners):
-                if i in self.corrupted:
+            for i, runner in enumerate(runners):
+                if i in corrupted:
                     continue
                 if (
-                    i in self._crash_rounds
-                    and round_no >= self._crash_rounds[i]
+                    crash_rounds
+                    and i in crash_rounds
+                    and round_no >= crash_rounds[i]
                 ):
                     # Crash-stop: the party halts silently — no stepping,
                     # no messages, no functionality calls, ever again.
-                    if i not in self.crashed:
-                        self.crashed.add(i)
+                    if i not in crashed:
+                        crashed.add(i)
                         self._count_fault("crashes")
                     continue
-                if i in self._failed:
+                if failed and i in failed:
                     continue
-                if self.faults_active:
+                if faults_active:
                     # A machine stepping on a fault-mangled inbox may fail
                     # in ways the protocol author never had to consider
                     # (missing shares, malformed payloads).  Graceful
@@ -204,50 +221,52 @@ class Execution:
                     try:
                         ctx = runner.step(round_no, inboxes[i])
                     except Exception:
-                        self._failed.add(i)
+                        failed.add(i)
                         self._count_fault("step_errors")
                         continue
                 else:
                     ctx = runner.step(round_no, inboxes[i])
-                self.pending_honest_messages.extend(ctx.outgoing)
+                pending.extend(ctx.outgoing)
                 for fname, payload in ctx.func_calls.items():
-                    honest_func_inputs.setdefault(fname, {})[i] = payload
+                    func_inputs.setdefault(fname, {})[i] = payload
 
             # 2. Rushing adversary observes and acts.
             iface = RoundInterface(self, round_no)
-            self.adversary.on_round(iface)
-            self._log_adversary_view(iface)
+            adversary.on_round(iface)
+            self._log_adversary_view()
 
-            # 3. Hybrid functionality invocations.
-            next_inboxes: Dict[int, Inbox] = {i: Inbox() for i in range(self.n)}
-            func_inputs = dict(honest_func_inputs)
+            # 3. Hybrid functionality invocations, on the honest inputs
+            #    with the adversary's merged in.
+            next_inboxes: List[Inbox] = [Inbox() for _ in parties]
             for fname, per_party in iface.func_inputs.items():
                 func_inputs.setdefault(fname, {}).update(per_party)
             for fname, submitted in func_inputs.items():
-                functionality = self.functionalities.get(fname)
-                handle = AdversaryHandle(self.adversary, fname, self.corrupted)
+                functionality = functionalities.get(fname)
+                handle = AdversaryHandle(adversary, fname, corrupted)
                 responses = functionality.invoke(
-                    submitted, handle, self.rng.fork(f"{fname}@{round_no}"), self.n
+                    submitted, handle, rng.fork(f"{fname}@{round_no}"), n
                 )
                 for i, payload in responses.items():
                     msg = Message(fname, i, payload, round_no)
                     next_inboxes[i].add(msg)
-                    self.transcript.append(msg)
-                    if i in self.corrupted:
-                        self.adversary_log.append(("func-response", fname, payload))
+                    transcript_append(msg)
+                    if i in corrupted:
+                        log_append(("func-response", fname, payload))
 
             # 4. Message delivery.  Only party-originated traffic crosses
             #    the (possibly faulty) network; functionality responses in
             #    step 3 model ideal computation and are never faulted.
             if self._channel is None:
-                for msg in self.pending_honest_messages + iface.outgoing:
-                    self.transcript.append(msg)
-                    if msg.broadcast:
-                        for i in range(self.n):
-                            if i != msg.sender:
-                                next_inboxes[i].add(msg)
-                    else:
-                        next_inboxes[msg.receiver].add(msg)
+                for sent in (pending, iface.outgoing):
+                    for msg in sent:
+                        transcript_append(msg)
+                        if msg.broadcast:
+                            sender = msg.sender
+                            for i in parties:
+                                if i != sender:
+                                    next_inboxes[i].add(msg)
+                        else:
+                            next_inboxes[msg.receiver].add(msg)
             else:
                 self._deliver_faulty(round_no, next_inboxes, iface.outgoing)
 
@@ -262,19 +281,15 @@ class Execution:
             #    regardless of protocol logic — instead the adversary keeps
             #    its full round bound.  A delayed message still in flight
             #    also blocks the exit until it lands or is dropped.
-            honest = [
-                i
-                for i in range(self.n)
-                if i not in self.corrupted and i not in self.crashed
-            ]
-            honest_done = bool(honest) and all(
-                self.runners[i].output is not None for i in honest
-            )
-            pending_delivery = (
-                any(len(inboxes[i]) for i in range(self.n))
-                or bool(self._delayed)
-            )
-            if honest_done and not pending_delivery:
+            honest_done = False
+            for i, runner in enumerate(runners):
+                if i in corrupted or i in crashed:
+                    continue
+                if runner.output is None:
+                    honest_done = False
+                    break
+                honest_done = True
+            if honest_done and not delayed and not any(inboxes):
                 break
 
         # Final adversary hook: it may read the last delivered inboxes
@@ -282,9 +297,7 @@ class Execution:
         # party) and place its output claim.
         self.current_inboxes = inboxes
         self.pending_honest_messages = []
-        final_iface = RoundInterface(self, rounds_used)
-        self.adversary.finish(final_iface)
-        self._log_adversary_view(final_iface)
+        self.adversary.finish(RoundInterface(self, rounds_used))
 
         outputs: Dict[int, OutputRecord] = {}
         missing = []
@@ -342,7 +355,7 @@ class Execution:
     def _deliver_faulty(
         self,
         round_no: int,
-        next_inboxes: Dict[int, Inbox],
+        next_inboxes: List[Inbox],
         adversary_outgoing: List[Message],
     ) -> None:
         """Step 4 under an active :class:`ChannelFaultModel`.
@@ -401,7 +414,7 @@ class Execution:
         round_no: int,
         msg: Message,
         msg_index: int,
-        next_inboxes: Dict[int, Inbox],
+        next_inboxes: List[Inbox],
     ) -> None:
         """Per-receiver broadcast attempts under an active channel model.
 
@@ -426,10 +439,14 @@ class Execution:
                 self.transcript.append(attempt)
                 next_inboxes[i].add(attempt)
 
-    def _log_adversary_view(self, iface: RoundInterface) -> None:
-        """Record what the adversary could see this round (privacy analysis)."""
-        for m in iface.rushing_messages():
-            self.adversary_log.append(("msg", m.sender, m.receiver, m.payload))
+    def _log_adversary_view(self) -> None:
+        """Record what the adversary could see this round (privacy analysis):
+        the messages :meth:`RoundInterface.rushing_messages` returns."""
+        corrupted = self.corrupted
+        log_append = self.adversary_log.append
+        for m in self.pending_honest_messages:
+            if m.broadcast or m.receiver in corrupted:
+                log_append(("msg", m.sender, m.receiver, m.payload))
 
 
 def run_execution(

@@ -1,6 +1,8 @@
 """MAC, commitment, signature, and OTP tests."""
 
+import collections
 import copy
+import enum
 import hashlib
 import hmac
 import pickle
@@ -26,7 +28,12 @@ from repro.crypto import (
 )
 from repro.crypto.commitment import Opening
 from repro.crypto.mac import KEY_LENGTH, MacKey, TAG_LENGTH, _encode
-from repro.crypto.signature import Signature
+from repro.crypto.signature import (
+    VER_MEMO_SIZE,
+    Signature,
+    VerificationKey,
+    _check_preimages,
+)
 
 #: Every message shape the library MACs and signs, nested.
 _messages = st.recursive(
@@ -36,6 +43,41 @@ _messages = st.recursive(
     | st.tuples(inner, inner, inner),
     max_leaves=8,
 )
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    GREEN = 2
+
+
+#: The shapes above plus the ``int`` subclasses the encoder must not
+#: mistake for plain ints.
+_encoder_messages = st.recursive(
+    st.binary(max_size=40) | st.integers() | st.text(max_size=20)
+    | st.none() | st.booleans() | st.sampled_from(_Colour),
+    lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+def _reference_encode(message) -> bytes:
+    """The recursive encoder ``mac._encode`` must stay byte-identical to."""
+    if isinstance(message, bytes):
+        return b"B" + message
+    if isinstance(message, int):
+        return b"I" + str(message).encode()
+    if isinstance(message, str):
+        return b"S" + message.encode()
+    if isinstance(message, tuple):
+        parts = [b"T"]
+        for m in message:
+            encoded = _reference_encode(m)
+            parts.append(len(encoded).to_bytes(4, "big"))
+            parts.append(encoded)
+        return b"".join(parts)
+    if message is None:
+        return b"N"
+    raise TypeError(f"cannot MAC message of type {type(message).__name__}")
 
 
 class TestMac:
@@ -74,6 +116,31 @@ class TestMac:
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
             tag(3.14, self.key)
+        with pytest.raises(TypeError):
+            tag(("token", 3.14), self.key)
+
+    @given(_encoder_messages)
+    @settings(max_examples=300)
+    def test_encode_matches_recursive_reference(self, message):
+        assert _encode(message) == _reference_encode(message)
+
+    def test_encode_pins(self):
+        assert _encode(True) == b"ITrue"
+        assert _encode((True, None)) == _reference_encode((True, None))
+        pair = collections.namedtuple("pair", "a b")(_Colour.RED, b"x")
+        assert _encode(pair) == _reference_encode(pair)
+        assert _encode(("a", 3, -1)) == (
+            b"T" + b"\0\0\0\x02Sa" + b"\0\0\0\x02I3" + b"\0\0\0\x03I-1"
+        )
+
+    @pytest.mark.parametrize(
+        "candidate", [None, "x" * TAG_LENGTH, 7], ids=["none", "str", "int"]
+    )
+    def test_verify_rejects_non_bytes_tag(self, candidate):
+        assert verify("m", candidate, self.key) is False
+
+    def test_verify_rejects_unencodable_message(self):
+        assert verify(("m", 3.14), tag(("m", 3), self.key), self.key) is False
 
     def test_malformed_key_rejected(self):
         with pytest.raises(ValueError):
@@ -207,6 +274,57 @@ class TestLamportSignatures:
     def test_unencodable_message(self):
         sig = sign("m", self.sk)
         assert not ver(3.14, sig, self.vk)
+
+    def test_memo_never_accepts_a_near_miss(self):
+        y = ("output", 1, b"y")
+        sigma = sign(y, self.sk)
+        assert ver(y, sigma, self.vk)  # now memoised
+        flipped = list(sigma.preimages)
+        flipped[17] = bytes([flipped[17][0] ^ 1]) + flipped[17][1:]
+        assert not ver(y, Signature(tuple(flipped)), self.vk)
+        assert not ver(y, sign(("output", 2, b"y"), self.sk), self.vk)
+        _, other_vk = gen(self.rng)
+        assert not ver(y, sigma, other_vk)
+        assert ver(y, sigma, self.vk)
+
+    def test_memo_keys_on_values_not_objects(self):
+        y = "message"
+        sigma = sign(y, self.sk)
+        assert ver(y, sigma, self.vk)
+        copies = pickle.loads(pickle.dumps((y, sigma, self.vk)))
+        assert copies[1] is not sigma
+        hits = _check_preimages.cache_info().hits
+        assert ver(*copies)
+        assert _check_preimages.cache_info().hits == hits + 1
+
+    def test_unhashable_key_is_checked_directly(self):
+        sigma = sign("m", self.sk)
+        listed = VerificationKey(tuple(list(pair) for pair in self.vk.pairs))
+        assert ver("m", sigma, listed)
+        assert not ver("other", sigma, listed)
+
+    def test_lying_preimages_are_never_looked_up(self):
+        # A bytes subclass claiming equality with everything must not hit
+        # the memo entry of the genuine signature it imitates.
+        class Liar(bytes):
+            def __eq__(self, other):
+                return True
+
+            def __hash__(self):
+                return hash(self.imitates)
+
+        sigma = sign("m", self.sk)
+        assert ver("m", sigma, self.vk)
+        liars = []
+        for genuine in sigma.preimages:
+            liar = Liar(b"\0" * 32)
+            liar.imitates = genuine
+            liars.append(liar)
+        assert not ver("m", Signature(tuple(liars)), self.vk)
+
+    def test_memo_bound_is_tiny(self):
+        assert VER_MEMO_SIZE <= 8
+        assert _check_preimages.cache_info().maxsize == VER_MEMO_SIZE
 
     def test_deepcopy_is_identity(self):
         # Immutable mixin: clones share the key objects.

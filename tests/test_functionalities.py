@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto import Rng, signature
+from repro.crypto.mac import MacKey
 from repro.engine.messages import ABORT
 from repro.functionalities import (
     CoinToss,
@@ -13,6 +14,7 @@ from repro.functionalities import (
     OtSend,
     PrivOutput,
     PrivSfeWithAbort,
+    SealedValue,
     SfeRandomAbort,
     SfeWithAbort,
     ShareGenOutput,
@@ -224,6 +226,17 @@ class TestGkShareGen:
         bad = replace(token, ciphertext=token.ciphertext ^ 1)
         with pytest.raises(ValueError):
             open_sealed(bad, out[0].incoming_pads[0], out[0].mac_key, "a")
+
+    @pytest.mark.parametrize(
+        "sealed",
+        [SealedValue(0, 5, None), SealedValue(0, 5, "x" * 16),
+         SealedValue(0, 5.0, b"x" * 16)],
+        ids=["none-tag", "str-tag", "float-ciphertext"],
+    )
+    def test_malformed_token_is_value_error(self, sealed):
+        key = MacKey(b"k" * 16)
+        with pytest.raises(ValueError):
+            open_sealed(sealed, 0, key, "a")
 
     def test_wrong_stream_name_rejected(self):
         sg = poly_domain_sharegen(make_and(), p=2)

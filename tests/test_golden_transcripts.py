@@ -5,7 +5,9 @@ transcripts under a fixed seed (``tests/data/golden_transcripts.json``).
 The digest covers every run's full rendered transcript — senders,
 payload summaries, outputs, events — so any drift in protocol logic,
 message scheduling, RNG forking, or trace rendering shows up as a digest
-mismatch rather than a silently shifted Monte-Carlo estimate.
+mismatch rather than a silently shifted Monte-Carlo estimate.  A second
+digest covers every run's adversary log (the ``repr`` of each entry, in
+order), which the rendered transcript does not include.
 
 The same digests must come out of every execution mode: serial, process
 pool, cold + warm chunk cache, and the fault-injected retry/replay
@@ -25,12 +27,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.adversaries import LockWatchingAborter, KnownOutputStopper
+from repro.adversaries import (
+    KnownOutputStopper,
+    LeakyInputExtractor,
+    LockWatchingAborter,
+)
 from repro.crypto.prf import Rng
 from repro.engine.execution import run_execution
 from repro.engine.trace import render_transcript
 from repro.functions import make_and, make_concat, make_swap
-from repro.protocols import GordonKatzProtocol, Opt2SfeProtocol, OptNSfeProtocol
+from repro.protocols import (
+    GordonKatzProtocol,
+    LeakyAndProtocol,
+    Opt2SfeProtocol,
+    OptNSfeProtocol,
+)
 from repro.protocols.gradual_release import GradualReleaseProtocol
 from repro.runtime import ProcessPoolRunner, SerialRunner
 from repro.runtime.cache import ChunkCache
@@ -42,6 +53,18 @@ N_RUNS = 12
 SEED = "golden-transcripts"
 
 
+def render_adversary_log(result) -> str:
+    """Every adversary-log entry's ``repr``, one per line, in log order."""
+    return "\n".join(repr(entry) for entry in result.adversary_log)
+
+
+#: What a digest covers: the rendered transcript or the adversary log.
+VIEWS = {
+    "transcript": render_transcript,
+    "adversary_log": render_adversary_log,
+}
+
+
 @dataclass
 class TranscriptDigestTask:
     """A runner task whose partial is a Counter of per-run digests.
@@ -49,15 +72,16 @@ class TranscriptDigestTask:
     Mirrors :class:`repro.runtime.tasks.ExecutionTask`'s seed derivation
     exactly (``Rng(seed).fork(f"run-{k}")`` with ``inputs``/``adversary``/
     ``exec`` sub-streams), so run ``k`` replays the estimator's execution
-    bit-identically; but instead of classifying events it hashes the full
-    rendered transcript.  Counters merge by ``+``, so any chunk partition
-    folds to the same digest set.
+    bit-identically; but instead of classifying events it hashes the
+    rendering of ``view`` (a key of :data:`VIEWS`).  Counters merge by
+    ``+``, so any chunk partition folds to the same digest set.
     """
 
     protocol: object
     factory: object
     n_runs: int
     seed: object
+    view: str = "transcript"
 
     @property
     def label(self) -> str:
@@ -69,10 +93,12 @@ class TranscriptDigestTask:
             getattr(self.protocol, "cache_key", self.protocol.name),
             getattr(self.factory, "name", "adversary"),
             self.seed,
+            self.view,
         )
 
     def run_chunk(self, start: int, stop: int) -> Counter:
         master = Rng(self.seed)
+        render = VIEWS[self.view]
         digests = Counter()
         for k in range(start, stop):
             rng = master.fork(f"run-{k}")
@@ -81,7 +107,7 @@ class TranscriptDigestTask:
             result = run_execution(
                 self.protocol, inputs, adversary, rng.fork("exec")
             )
-            text = render_transcript(result)
+            text = render(result)
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             digests[f"run-{k}:{digest}"] = 1
         return digests
@@ -105,13 +131,17 @@ def _protocols():
             GradualReleaseProtocol(make_swap(16)),
             lambda rng: LockWatchingAborter({0}),
         ),
+        "leaky_and": (
+            LeakyAndProtocol(),
+            lambda rng: LeakyInputExtractor(),
+        ),
     }
 
 
-def compute_digest(name: str, runner) -> str:
-    """One protocol's combined transcript digest under ``runner``."""
+def compute_digest(name: str, runner, view: str = "transcript") -> str:
+    """One protocol's combined ``view`` digest under ``runner``."""
     protocol, factory = _protocols()[name]
-    task = TranscriptDigestTask(protocol, factory, N_RUNS, (SEED, name))
+    task = TranscriptDigestTask(protocol, factory, N_RUNS, (SEED, name), view)
     (merged,) = runner.run([task])
     assert sum(merged.values()) == N_RUNS, "a run went missing in the merge"
     combined = "\n".join(sorted(merged))
@@ -129,6 +159,11 @@ class TestGoldenTranscripts:
     @pytest.mark.parametrize("name", PROTOCOL_NAMES)
     def test_serial_matches_golden(self, name):
         assert compute_digest(name, SerialRunner()) == _golden()[name]["digest"]
+
+    @pytest.mark.parametrize("name", PROTOCOL_NAMES)
+    def test_serial_adversary_log_matches_golden(self, name):
+        digest = compute_digest(name, SerialRunner(), view="adversary_log")
+        assert digest == _golden()[name]["adversary_log_digest"]
 
     @pytest.mark.parametrize("name", PROTOCOL_NAMES)
     def test_pool_matches_golden(self, name):
@@ -163,6 +198,7 @@ class TestGoldenTranscripts:
             assert entry["n_runs"] == N_RUNS
             assert entry["seed"] == [SEED, name]
             assert len(entry["digest"]) == 64
+            assert len(entry["adversary_log_digest"]) == 64
 
 
 def regenerate() -> None:
@@ -188,6 +224,9 @@ def regenerate() -> None:
             "seed": [SEED, name],
             "n_runs": N_RUNS,
             "digest": compute_digest(name, SerialRunner()),
+            "adversary_log_digest": compute_digest(
+                name, SerialRunner(), view="adversary_log"
+            ),
         }
         for name in PROTOCOL_NAMES
     }
