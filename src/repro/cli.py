@@ -495,8 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="job-executor threads; each job gets its own batch runner "
-        "built from the global runner flags (default 2)",
+        help="run N jobs at once, each in its own job process with a "
+        "fresh batch runner built from the global runner flags "
+        "(default 2)",
     )
 
     return parser
@@ -884,9 +885,10 @@ def cmd_worker(args, registry) -> str:
 def cmd_serve(args, registry) -> str:
     """Run the fairness service until interrupted.
 
-    Each job executes on a fresh runner built from the same global
-    flags every other command honours (``--jobs``, ``--cache``,
-    ``--backend``, ``--workers``, ...), so a service job and the
+    Each job executes in one of the ``--service-workers`` job processes,
+    on a fresh runner built from the same global flags every other
+    command honours (``--jobs``, ``--cache``, ``--backend``,
+    ``--workers``, ...), so a service job and the
     equivalent CLI invocation share chunk-cache entries and produce
     byte-identical ``deterministic_payload``s.
     """

@@ -11,8 +11,9 @@ falling over.
 
 Module map: ``wire`` (JSON-RPC envelope + error codes), ``canonical``
 (param schemas, canonical forms, job keys), ``ratelimit`` (token bucket
-+ ``REPRO_SERVICE_*`` knobs), ``jobs`` (the deduplicating pool),
-``methods`` (experiment implementations), ``server`` (HTTP front end).
++ ``REPRO_SERVICE_*`` knobs), ``jobs`` (the deduplicating pool and
+its job processes), ``methods`` (experiment implementations),
+``server`` (HTTP front end).
 """
 
 from .canonical import (

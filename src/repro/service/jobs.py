@@ -8,23 +8,42 @@ eventually, the byte-identical payload) instead of executing again.
 Failed and cancelled jobs are evicted on resubmission so a transient
 error is not cached forever.
 
-Each worker thread builds a fresh :class:`BatchRunner` per job from the
-pool's ``runner_factory`` and points the runner's ``chunk_observer`` at
-the job, so every resolved chunk is appended to the job's event list
-the moment it exists — the chunk-granularity stream ``job.stream``
-serves — and ``history_mark``/``stats_since`` bracket the job's batches
-for the final RunStats export.  On completion the last batch's stats
-are stamped with the pool's dedupe/rate-limit counters
-(``service_dedup_hits``/``service_rate_limited``), so the service's
-admission-control behaviour is visible in the same artefact stream as
-every other runtime counter.
+Each worker thread owns one long-lived **job process**, forked with the
+pool before any thread starts and linked to its thread by a pipe.  A
+built-in method (``canonical.METHOD_SCHEMAS``) crosses the pipe as
+``(method, canon)``; the job process builds a fresh :class:`BatchRunner`
+from the ``runner_factory`` it inherited, runs ``methods.run_method``,
+sends each chunk record back the moment the chunk resolves — the
+chunk-granularity stream ``job.stream`` serves — and finally the
+artifact and the job's RunStats dicts.  So N service workers run N jobs
+on N CPUs, and each job's counters are its own: the process-global
+phase clocks and cache counters see one job at a time.  Only
+in-process callables (``ServiceServer.register_method``, ``submit``
+with a custom ``fn``) run on the worker thread itself: a closure cannot
+cross a process boundary.
+
+A job process ignores SIGINT (the server drains on Ctrl-C) and exits
+when its pipe reaches EOF, i.e. when the pool closes or the server
+dies.  Any exception in it, ``SystemExit`` included, fails that one
+job; a job process that dies fails its job and is replaced.
+
+On completion the job's last batch is stamped with the pool's
+dedupe/rate-limit counters (``service_dedup_hits``/
+``service_rate_limited``), so the service's admission-control
+behaviour is visible in the same artefact stream as every other
+runtime counter.
 """
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import queue
+import signal
+import sys
 import threading
-from dataclasses import replace
+import time
+from multiprocessing import util as mp_util
 from typing import Callable, Dict, List, Optional
 
 from ..analysis.export import (
@@ -32,6 +51,7 @@ from ..analysis.export import (
     deterministic_payload,
     run_stats_to_dict,
 )
+from .methods import run_method
 from .ratelimit import resolve_service_queue
 
 #: Job lifecycle states, in order of appearance.
@@ -39,6 +59,23 @@ JOB_STATES = ("pending", "running", "done", "failed", "cancelled")
 
 #: States from which a job will never produce a result.
 DEAD_STATES = ("failed", "cancelled")
+
+#: How often a thread waiting on its job process checks that the process
+#: is alive: pool workers the process forked can hold its pipe open
+#: after it dies, so end-of-file alone does not prove a death.
+LIVENESS_POLL_S = 1.0
+
+#: Seconds a job process gets to exit after its pipe closes.
+STOP_GRACE_S = 10.0
+
+#: Received strings up to this length are interned (see ``_intern``).
+INTERN_MAX_LEN = 64
+
+_FORK = multiprocessing.get_context("fork")
+
+#: Parent ends of every live job-process pipe.  A new job process closes
+#: its inherited copies, so each pipe reaches EOF when the parent exits.
+_PARENT_ENDS: set = set()
 
 
 class QueueFull(RuntimeError):
@@ -53,14 +90,19 @@ class PoolClosed(RuntimeError):
     """Pool shutting down; submission refused (``SHUTTING_DOWN``)."""
 
 
+class JobFailed(RuntimeError):
+    """A job process reported a failure or died; ``str`` is the error."""
+
+
 class Job:
     """One deduplicated unit of work and its observable trail."""
 
     def __init__(self, key: str, method: str, canon: dict,
-                 fn: Callable[[object, dict], dict]):
+                 fn: Optional[Callable[[object, dict], dict]] = None):
         self.key = key
         self.method = method
         self.canon = canon
+        #: ``None`` for a built-in method, which runs in a job process.
         self.fn = fn
         self.state = "pending"
         self.submissions = 1
@@ -73,9 +115,8 @@ class Job:
 
     # -- streaming -----------------------------------------------------------
 
-    def on_chunk(self, chunk) -> None:
-        """``BatchRunner.chunk_observer`` target: one resolved chunk."""
-        record = chunk_stats_to_dict(chunk)
+    def add_event(self, record: dict) -> None:
+        """Append one resolved chunk's ``chunk_stats_to_dict`` record."""
         with self._lock:
             record["seq"] = len(self._events)
             self._events.append(record)
@@ -108,6 +149,145 @@ class Job:
         return body
 
 
+def _execute(runner_factory, fn, canon: dict, on_event) -> tuple:
+    """Run ``fn`` on a fresh runner; return ``(artifact, stats dicts)``.
+
+    ``on_event`` receives each chunk's record as the chunk resolves.
+    """
+    if runner_factory is not None:
+        runner = runner_factory()
+    else:
+        from ..runtime import resolve_runner
+
+        runner = resolve_runner()
+    runner.chunk_observer = lambda chunk: on_event(chunk_stats_to_dict(chunk))
+    mark = runner.history_mark()
+    artifact = fn(runner, canon)
+    return artifact, [run_stats_to_dict(s) for s in runner.stats_since(mark)]
+
+
+def _describe(exc) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _job_process_main(conn, runner_factory) -> None:
+    """A job process: serve ``(method, canon)`` requests until EOF."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in _PARENT_ENDS:
+        end.close()
+    _PARENT_ENDS.clear()
+
+    def send_event(record):
+        conn.send(("chunk", record))
+
+    while True:
+        try:
+            method, canon = conn.recv()
+        except (EOFError, OSError):
+            return
+        fn = functools.partial(run_method, method)
+        try:
+            done = _execute(runner_factory, fn, canon, send_event)
+            conn.send(("done",) + done)
+        except (Exception, SystemExit) as exc:  # fail only this job
+            try:
+                conn.send(("failed", _describe(exc)))
+            except OSError:
+                return
+
+
+def _intern(value):
+    """``value`` with its dict keys and short strings interned.
+
+    Every message arrives as fresh objects; without this each retained
+    job result would hold its own copy of every key and every repeated
+    short string (outcomes, engine and strategy names).
+    """
+    kind = type(value)
+    if kind is str:
+        return sys.intern(value) if len(value) <= INTERN_MAX_LEN else value
+    if kind is dict:
+        return {
+            (sys.intern(k) if type(k) is str else k): _intern(v)
+            for k, v in value.items()
+        }
+    if kind is list:
+        return [_intern(v) for v in value]
+    if kind is tuple:
+        return tuple(_intern(v) for v in value)
+    return value
+
+
+class _JobProcess:
+    """One worker thread's job process and the parent end of its pipe."""
+
+    def __init__(self, runner_factory):
+        parent_end, child_end = _FORK.Pipe()
+        # Registered before the fork, so the child closes this end too.
+        _PARENT_ENDS.add(parent_end)
+        self.conn = parent_end
+        self.process = _FORK.Process(
+            target=_job_process_main,
+            args=(child_end, runner_factory),
+            name="repro-service-job",
+            daemon=False,  # `repro --jobs N serve` forks a pool inside it
+        )
+        self.process.start()
+        child_end.close()
+
+    def run(self, job: Job) -> tuple:
+        """Run a built-in job here; return ``(artifact, stats dicts)``.
+
+        Raises :class:`JobFailed` with the job's error, or naming this
+        process if it died.
+        """
+        try:
+            self.conn.send((job.method, job.canon))
+            while True:
+                message = self._receive()
+                if message[0] == "chunk":
+                    job.add_event(message[1])
+                elif message[0] == "done":
+                    return message[1], message[2]
+                else:
+                    raise JobFailed(message[1])
+        except (EOFError, OSError):
+            pass
+        self.stop()
+        raise JobFailed(
+            f"job process {self.process.pid} exited with code "
+            f"{self.process.exitcode}"
+        )
+
+    def _receive(self):
+        while not self.conn.poll(LIVENESS_POLL_S):
+            if not self.process.is_alive():
+                raise EOFError
+        return _intern(self.conn.recv())
+
+    def stop(self, grace_s: float = STOP_GRACE_S) -> None:
+        """Close the pipe, wait for the process to exit, kill it if it
+        does not within ``grace_s`` seconds."""
+        _PARENT_ENDS.discard(self.conn)
+        self.conn.close()
+        # is_alive() polls waitpid: the exit sentinel can stay open in
+        # pool workers the process forked.
+        deadline = time.monotonic() + grace_s
+        while self.process.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if self.process.is_alive():
+            self.process.kill()
+        self.process.join()
+
+
+def _close_pipes(processes: List[_JobProcess]) -> None:
+    # At interpreter exit multiprocessing joins every non-daemonic child;
+    # an abandoned pool's job processes exit only once their pipes close.
+    for proc in processes:
+        _PARENT_ENDS.discard(proc.conn)
+        proc.conn.close()
+
+
 class JobPool:
     """Bounded worker pool keyed by content-addressed job ids."""
 
@@ -135,9 +315,14 @@ class JobPool:
         self._jobs: Dict[str, Job] = {}
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._closed = False
+        # Forked before any pool thread exists.
+        self._processes = [_JobProcess(runner_factory) for _ in range(workers)]
+        mp_util.Finalize(self, _close_pipes, args=(self._processes,),
+                         exitpriority=10)
         self._threads = [
             threading.Thread(
-                target=self._worker, name=f"repro-service-job-{i}", daemon=True
+                target=self._worker, args=(i,),
+                name=f"repro-service-job-{i}", daemon=True,
             )
             for i in range(workers)
         ]
@@ -147,9 +332,11 @@ class JobPool:
     # -- admission -----------------------------------------------------------
 
     def submit(self, key: str, method: str, canon: dict,
-               fn: Callable[[object, dict], dict]):
+               fn: Optional[Callable[[object, dict], dict]] = None):
         """Admit (or dedupe) one canonical request.
 
+        ``fn=None`` runs the built-in ``method`` in a job process; a
+        callable ``fn(runner, canon)`` runs on the worker thread.
         Returns ``(job, deduped)``.  The existence check and the
         insertion happen under one lock, so N concurrent identical
         submissions race to create exactly one job and the other N-1
@@ -211,33 +398,41 @@ class JobPool:
 
     # -- execution -----------------------------------------------------------
 
-    def _worker(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return
-            if job.cancel_requested:
-                self._finish(job, "cancelled")
-                continue
-            self._run(job)
+    def _worker(self, index: int) -> None:
+        try:
+            while True:
+                job = self._queue.get()
+                if job is None:
+                    return
+                if job.cancel_requested:
+                    self._finish(job, "cancelled")
+                    continue
+                self._run(job, index)
+        finally:
+            self._processes[index].stop()
 
-    def _run(self, job: Job) -> None:
+    def _live_process(self, index: int) -> _JobProcess:
+        """Worker ``index``'s job process, replaced first if it died."""
+        proc = self._processes[index]
+        if not proc.process.is_alive():
+            proc.stop()
+            proc = self._processes[index] = _JobProcess(self.runner_factory)
+        return proc
+
+    def _run(self, job: Job, index: int) -> None:
         job.state = "running"
         with self._lock:
             self.counters["executed"] += 1
         try:
-            if self.runner_factory is not None:
-                runner = self.runner_factory()
+            if job.fn is None:
+                artifact, stats = self._live_process(index).run(job)
             else:
-                from ..runtime import resolve_runner
-
-                runner = resolve_runner()
-            runner.chunk_observer = job.on_chunk
-            mark = runner.history_mark()
-            artifact = job.fn(runner, job.canon)
-            stats = self._stamp(runner.stats_since(mark))
+                artifact, stats = _execute(
+                    self.runner_factory, job.fn, job.canon, job.add_event
+                )
         except Exception as exc:  # the job fails; the pool survives
-            job.error = f"{type(exc).__name__}: {exc}"
+            failed = isinstance(exc, JobFailed)
+            job.error = str(exc) if failed else _describe(exc)
             self._finish(job, "failed")
         else:
             job.result = {
@@ -248,24 +443,19 @@ class JobPool:
                 },
                 "artifact": artifact,
                 "deterministic_payload": deterministic_payload(artifact),
-                "run_stats": [run_stats_to_dict(s) for s in stats],
+                "run_stats": self._stamp(stats),
             }
             self._finish(job, "done")
 
-    def _stamp(self, stats):
+    def _stamp(self, stats: List[dict]) -> List[dict]:
         """Stamp the job's final batch with the pool's service counters."""
-        if not stats:
-            return stats
-        with self._lock:
-            dedup = self.counters["dedup_hits"]
-            limited = self.counters["rate_limited"]
-        return stats[:-1] + [
-            replace(
-                stats[-1],
-                service_dedup_hits=dedup,
-                service_rate_limited=limited,
-            )
-        ]
+        if stats:
+            with self._lock:
+                stats[-1]["service_dedup_hits"] = self.counters["dedup_hits"]
+                stats[-1]["service_rate_limited"] = (
+                    self.counters["rate_limited"]
+                )
+        return stats
 
     def _finish(self, job: Job, state: str) -> None:
         job.state = state
@@ -281,8 +471,9 @@ class JobPool:
 
         ``drain=True`` lets queued jobs finish; ``drain=False`` cancels
         everything still pending.  Worker threads are joined either
-        way, so a clean ``close`` leaks nothing (the e2e suite counts
-        threads before and after).
+        way, and each stops its job process on the way out, so a clean
+        ``close`` leaks nothing (the e2e suite counts threads and child
+        processes before and after).
         """
         with self._lock:
             self._closed = True

@@ -3,8 +3,8 @@
 A stdlib :class:`~http.server.ThreadingHTTPServer` accepts one JSON-RPC
 2.0 request per ``POST``; the handler thread runs admission control
 (per-tenant token bucket, then the bounded job pool) and returns
-immediately with a job id — Monte-Carlo work happens on the pool's
-worker threads, never on a connection thread, so slow experiments
+immediately with a job id — Monte-Carlo work happens in the pool's
+job processes, never on a connection thread, so slow experiments
 cannot starve the accept loop.
 
 Tenancy is the ``X-Repro-Tenant`` header when present, else the
@@ -137,9 +137,10 @@ class ServiceServer:
         self._requests = threading.local()
         self._serving = threading.Event()
         #: Extension point: extra methods callable over the wire, each a
-        #: ``fn(runner, params) -> artifact dict`` run through the job
-        #: pool like the built-ins (the e2e suite registers a gated
-        #: method here to exercise queue-full deterministically).
+        #: ``fn(runner, params) -> artifact dict`` admitted through the
+        #: job pool like the built-ins but run on its worker thread, not
+        #: in a job process (the e2e suite registers a gated method here
+        #: to exercise queue-full deterministically).
         self._extra: Dict[str, Callable] = {}
 
     # -- lifecycle -----------------------------------------------------------
@@ -277,11 +278,7 @@ class ServiceServer:
         canon = canonical.canonicalize(method, params)
         methods.validate(method, canon)
         key = canonical.job_key_canonical(method, canon)
-
-        def fn(runner, canon):
-            return methods.run_method(method, runner, canon)
-
-        return self._admit(key, method, canon, fn)
+        return self._admit(key, method, canon, None)
 
     def _submit_extra(self, method: str, params: dict):
         key = encode_seed(

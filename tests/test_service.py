@@ -15,6 +15,7 @@ import http.client
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -33,6 +34,7 @@ from repro.core import PayoffVector
 from repro.functions import make_swap
 from repro.protocols import Opt2SfeProtocol
 from repro.runtime import NO_FAULTS, SerialRunner
+from repro.runtime.cache import ChunkCache
 from repro.service import server as server_module
 from repro.service import (
     ENV_SERVICE_BURST,
@@ -126,6 +128,35 @@ def _leak_failure(threads_before, deadline_s=10.0):
                 f"{max(0, threads - threads_before)} extra thread(s)"
             )
         time.sleep(0.05)
+
+
+def _children(pid):
+    """Pids of the live processes whose parent is ``pid`` (Linux)."""
+    if not os.path.isdir("/proc"):
+        pytest.skip("needs /proc")
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _stat(int(entry))
+            if stat is not None and int(stat[1]) == pid:
+                found.append(int(entry))
+    return found
+
+
+def _stat(pid):
+    """``(state, ppid)`` of ``pid`` from ``/proc``; ``None`` once gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return fields[0], fields[1]
+
+
+def _running(pid) -> bool:
+    """Whether ``pid`` exists and has not exited (a zombie has)."""
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"
 
 
 class TestLifecycle:
@@ -374,6 +405,105 @@ class TestStreaming:
 
             final = _result(srv.port, job_id)
             assert len(final["run_stats"][-1]["chunks"]) == len(seen)
+
+
+class TestJobProcesses:
+    """Built-in jobs run in one job process per worker thread."""
+
+    def test_concurrent_jobs_count_only_their_own_chunks(self, tmp_path):
+        # Instrumentation counters are process-global; two jobs sharing
+        # a process would read each other's cache lookups into their
+        # RunStats.
+        cache = ChunkCache(tmp_path)
+        factory = lambda: SerialRunner(fault=NO_FAULTS, chunk_size=16,
+                                       cache=cache)
+        with _server(runner_factory=factory, workers=2) as srv:
+            job_ids = [
+                _rpc(srv.port, "estimate_utility",
+                     dict(REQUEST, runs=256, strategy=strategy))
+                ["result"]["job_id"]
+                for strategy in ("lock-watch[0]", "passive[0]")
+            ]
+            for job_id in job_ids:
+                stats = _result(srv.port, job_id)["run_stats"]
+                lookups = sum(s["cache_hits"] + s["cache_misses"]
+                              for s in stats)
+                assert lookups == sum(s["n_chunks"] for s in stats) == 16
+
+    def test_killed_job_process_fails_its_job_and_is_replaced(self):
+        factory = lambda: SerialRunner(fault=NO_FAULTS, chunk_size=16)
+        with _server(runner_factory=factory, workers=1) as srv:
+            victim = srv.pool._processes[0].process
+            job_id = _rpc(srv.port, "estimate_utility",
+                          dict(REQUEST, runs=100_000))["result"]["job_id"]
+            deadline = time.monotonic() + 60
+            while not srv.pool.get(job_id).events_since(0)[0]:
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.01)
+            os.kill(victim.pid, signal.SIGKILL)
+
+            reply = _rpc(srv.port, "job.result",
+                         {"job_id": job_id, "timeout_s": 30})
+            assert reply["error"]["code"] == -32003  # JOB_FAILED
+            assert f"job process {victim.pid} exited" in reply["error"]["data"]
+
+            result = _result(srv.port, _rpc(srv.port, "estimate_utility",
+                                            REQUEST)["result"]["job_id"])
+            assert result["artifact"]["n_runs"] == REQUEST["runs"]
+            replacement = srv.pool._processes[0].process
+            assert replacement.pid != victim.pid and replacement.is_alive()
+            assert not victim.is_alive()
+
+    def test_system_exit_fails_only_its_job(self):
+        calls = []
+
+        def factory():  # runs in the job process, which keeps `calls`
+            calls.append(1)
+            if len(calls) == 1:
+                raise SystemExit("bad runner flags")
+            return _serial()
+
+        with _server(runner_factory=factory, workers=1) as srv:
+            pid = srv.pool._processes[0].process.pid
+            job_id = _rpc(srv.port, "estimate_utility",
+                          REQUEST)["result"]["job_id"]
+            reply = _rpc(srv.port, "job.result",
+                         {"job_id": job_id, "timeout_s": 30})
+            assert reply["error"]["code"] == -32003  # JOB_FAILED
+            assert reply["error"]["data"] == "SystemExit: bad runner flags"
+            retry = _rpc(srv.port, "estimate_utility",
+                         REQUEST)["result"]["job_id"]
+            assert _result(srv.port, retry)["artifact"]["n_runs"] == 64
+            assert srv.pool._processes[0].process.pid == pid
+
+    def test_received_keys_and_short_strings_are_shared(self):
+        # Every retained result would otherwise hold its own copy of
+        # each key and each repeated short string it arrived with.
+        with _server(workers=1) as srv:
+            jobs = []
+            for seed in (1, 2):
+                job_id = _rpc(srv.port, "estimate_utility",
+                              dict(REQUEST, seed=seed))["result"]["job_id"]
+                _result(srv.port, job_id)
+                jobs.append(srv.pool.get(job_id))
+            first, second = (job.result["run_stats"][-1] for job in jobs)
+            for (k1, v1), (k2, v2) in zip(first.items(), second.items()):
+                assert k1 is k2
+                if isinstance(v1, str) and v1 == v2:
+                    assert v1 is v2, k1
+            events = [job.events_since(0)[0][0] for job in jobs]
+            assert events[0]["outcome"] is events[1]["outcome"]
+
+    def test_extension_methods_run_on_the_worker_thread(self):
+        def where(runner, params):
+            return {"pid": os.getpid()}
+
+        with _server() as srv:
+            srv.register_method("test.where", where)
+            job_id = _rpc(srv.port, "test.where", {})["result"]["job_id"]
+            assert _result(srv.port, job_id)["artifact"] == {
+                "pid": os.getpid()
+            }
 
 
 class TestMalformedRequests:
@@ -648,6 +778,82 @@ class TestServeCli:
                     proc.kill()
                     proc.wait()
                 proc.stdout.close()
+
+    def _serve(self, *global_flags):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *global_flags, "serve",
+             "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self._env(),
+            text=True,
+            start_new_session=True,
+        )
+        port = json.loads(proc.stdout.readline())["port"]
+        return proc, port
+
+    @staticmethod
+    def _stop(proc):
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+    def test_job_processes_exit_when_the_server_is_killed(self):
+        proc, port = self._serve()
+        try:
+            # One job process has run a job, the other is idle.
+            sub = _rpc(port, "estimate_utility", REQUEST)["result"]
+            _result(port, sub["job_id"])
+            children = _children(proc.pid)
+            assert len(children) == 2
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 10
+            while any(map(_running, children)):
+                assert time.monotonic() < deadline, "orphaned job processes"
+                time.sleep(0.05)
+        finally:
+            self._stop(proc)
+
+    def test_sigint_drains_and_exits_cleanly(self):
+        proc, port = self._serve()
+        try:
+            sub = _rpc(port, "estimate_utility",
+                       dict(REQUEST, runs=512))["result"]
+            assert sub["state"] in ("pending", "running")
+            children = _children(proc.pid)
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=60) == 0
+            assert "Traceback" not in proc.stderr.read()
+            assert not any(map(_running, children))
+        finally:
+            self._stop(proc)
+
+    def test_pool_runner_inside_a_job_process_matches_serial(self):
+        request = dict(REQUEST, runs=128)
+        proc, port = self._serve("--jobs", "2")
+        try:
+            sub = _rpc(port, "estimate_utility", request)["result"]
+            result = _result(port, sub["job_id"])
+            _rpc(port, "service.shutdown", {"drain": True})
+            assert proc.wait(timeout=30) == 0
+        finally:
+            self._stop(proc)
+        assert [s["backend"] for s in result["run_stats"]] == ["process-pool"]
+        assert result["run_stats"][0]["jobs"] == 2
+
+        protocol = Opt2SfeProtocol(make_swap(16))
+        factory = next(
+            f for f in strategy_space_for_protocol(protocol)
+            if f.name == request["strategy"]
+        )
+        serial = estimate_to_dict(estimate_utility(
+            protocol, factory, GAMMA,
+            n_runs=request["runs"], seed=request["seed"], runner=_serial(),
+        ))
+        assert result["deterministic_payload"] == serial
 
     def test_serve_rejects_malformed_listen(self):
         proc = subprocess.run(
