@@ -11,13 +11,24 @@ gradual-release strawmen under lock-watching aborters), executed twice:
    an eligibility regression fails loudly instead of quietly measuring
    the reference engine twice).
 
+Each workload runs as one wide serial chunk, where the kernels win.  A
+second pass, the *lane sweep*, times each kernel against the reference
+engine on one serial chunk per width in :data:`SWEEP_LANES`, and records
+each kernel's break-even width: the narrowest swept width from which on
+the kernel never loses.  The sweep is the evidence for the crossover
+width a kernel declares (``kernel.min_lanes``), below which
+``--backend auto`` runs a chunk on the reference engine.
+
 Bit-identity is asserted unconditionally: every task's event counts and
-corruption counts must match exactly, run for run.  The wall-clock
-verdict — vectorized ≥ 10× reference — is asserted at the ``large``
-budget (the committed artifact); the ``small`` budget (CI's perf-smoke
-lane) records the numbers and still asserts bit-identity, but skips the
-speedup floor since tiny batches under-amortise kernel setup.  Results
-are written to ``BENCH_vectorized.json`` at the repo root.
+corruption counts must match exactly, run for run, at every swept width.
+The wall-clock verdicts are asserted at the ``large`` budget (the
+committed artifact): the wide-chunk aggregate is vectorized ≥ 10×
+reference, and each Gordon–Katz kernel loses at 16 lanes and does not
+lose at its declared crossover width.  The ``small`` budget (CI's
+perf-smoke lane) records the numbers and still asserts bit-identity, but
+skips the timing asserts since single samples on a shared runner are
+noise.  Results are written to ``BENCH_vectorized.json`` at the repo
+root.
 
 Runnable standalone (``python benchmarks/bench_vectorized.py [--budget
 small|large]``, default large) or under pytest (budget from
@@ -26,6 +37,7 @@ small|large]``, default large) or under pytest (budget from
 
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -42,9 +54,28 @@ from repro.protocols import (
     SingleRoundProtocol,
 )
 from repro.runtime import HAVE_NUMPY, ExecutionTask, SerialRunner
+from repro.runtime.vectorized import kernel_for
 from repro.verify.claims import constant_inputs
 
 SPEEDUP_FLOOR = 10.0
+
+#: Chunk widths of the lane sweep, in runs (40 is the Gordon–Katz
+#: kernel's declared crossover).
+SWEEP_LANES = (8, 16, 24, 32, 40, 48, 64, 96, 128, 160, 256)
+
+#: Timed repeats per sweep point at each budget (the median is kept).
+SWEEP_REPEATS = {"small": 1, "large": 5}
+
+#: Sweep workloads asserted, at the large budget, to lose at 16 lanes:
+#: the width of pool, distributed and service chunks.
+GK_WORKLOADS = ("gordon-katz-p2", "gordon-katz-p4")
+
+#: The sweep workload asserted not to lose at its kernel's crossover
+#: width.  It is E12's configuration, whose 40-lane serial batch caps the
+#: crossover; p=2 breaks even only between 40 and 48 lanes (see the
+#: artifact's ``break_even_lanes``), so no width at or below that cap
+#: can be asserted for it.
+CROSSOVER_WORKLOAD = "gordon-katz-p4"
 
 #: Runs per workload at the ``large`` budget; ``small`` divides by 8.
 LARGE_RUNS = {
@@ -57,30 +88,41 @@ LARGE_RUNS = {
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_vectorized.json"
 
 
-def _workloads(scale: int):
+def _combos():
     known = fixed(
         "known-output", lambda: KnownOutputStopper(0, known_output=1)
     )
     lock0 = fixed("lock-watch[0]", lambda: LockWatchingAborter({0}))
-    sampler = constant_inputs((1, 1))
-    protos = {
+    return {
         "gordon-katz-p2": (GordonKatzProtocol(make_and(), p=2), known),
         "gordon-katz-p4": (GordonKatzProtocol(make_and(), p=4), known),
         "single-round": (SingleRoundProtocol(make_and()), lock0),
         "gradual-release": (GradualReleaseProtocol(make_and()), lock0),
     }
+
+
+def _task(protocol, factory, n_runs, seed):
+    return ExecutionTask(
+        protocol,
+        factory,
+        n_runs,
+        seed=seed,
+        input_sampler=constant_inputs((1, 1)),
+    )
+
+
+def _workloads(scale: int):
     return [
         (
             name,
-            ExecutionTask(
+            _task(
                 protocol,
                 factory,
                 max(1, LARGE_RUNS[name] // scale),
-                seed=("bench-vectorized", name),
-                input_sampler=sampler,
+                ("bench-vectorized", name),
             ),
         )
-        for name, (protocol, factory) in protos.items()
+        for name, (protocol, factory) in _combos().items()
     ]
 
 
@@ -93,6 +135,84 @@ def _sweep(backend: str, scale: int):
         results[name] = runner.run_one(task)
         vectorized_runs += runner.last_stats.vectorized_runs
     return results, time.perf_counter() - t0, vectorized_runs
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    value = fn(*args)
+    return value, 1000.0 * (time.perf_counter() - t0)
+
+
+def _break_even(points):
+    """Narrowest swept width from which on the kernel never loses, or
+    ``None`` when it loses at the widest."""
+    width = None
+    for point in reversed(points):
+        if point["kernel_ms"] > point["reference_ms"]:
+            break
+        width = point["lanes"]
+    return width
+
+
+def _lane_sweep(repeats: int):
+    """Kernel vs reference ms on one serial chunk per swept width."""
+    sweep = {}
+    for name, (protocol, factory) in _combos().items():
+        points = []
+        min_lanes = None
+        for lanes in SWEEP_LANES:
+            task = _task(
+                protocol, factory, lanes,
+                ("bench-vectorized-sweep", name, lanes),
+            )
+            # Building the kernel is a once-per-task cost; keep it out of
+            # the per-chunk timing.
+            kernel = kernel_for(task)
+            assert kernel is not None, f"{name}: no kernel matched"
+            min_lanes = getattr(kernel, "min_lanes", 1)
+            kernel_ms, reference_ms = [], []
+            for _ in range(repeats):
+                vec, ms = _timed(kernel, 0, lanes)
+                kernel_ms.append(ms)
+                ref, ms = _timed(task.run_chunk, 0, lanes)
+                reference_ms.append(ms)
+                assert ref.counts == vec.counts, (
+                    f"{name} at {lanes} lanes: event counts diverged"
+                )
+                assert ref.corruption_counts == vec.corruption_counts, (
+                    f"{name} at {lanes} lanes: corruption counts diverged"
+                )
+            points.append({
+                "lanes": lanes,
+                "kernel_ms": round(statistics.median(kernel_ms), 2),
+                "reference_ms": round(statistics.median(reference_ms), 2),
+            })
+        sweep[name] = {
+            "min_lanes": min_lanes,
+            "break_even_lanes": _break_even(points),
+            "points": points,
+        }
+    return sweep
+
+
+def _point(sweep, name, lanes):
+    return next(p for p in sweep[name]["points"] if p["lanes"] == lanes)
+
+
+def _check_crossovers(sweep):
+    for name in GK_WORKLOADS:
+        narrow = _point(sweep, name, 16)
+        assert narrow["kernel_ms"] > narrow["reference_ms"], (
+            f"{name}: the kernel wins at 16 lanes "
+            f"({narrow['kernel_ms']} vs {narrow['reference_ms']} ms), "
+            "so its crossover width is too high"
+        )
+    min_lanes = sweep[CROSSOVER_WORKLOAD]["min_lanes"]
+    at = _point(sweep, CROSSOVER_WORKLOAD, min_lanes)
+    assert at["kernel_ms"] <= at["reference_ms"], (
+        f"{CROSSOVER_WORKLOAD}: the kernel loses at its crossover width "
+        f"{min_lanes} ({at['kernel_ms']} vs {at['reference_ms']} ms)"
+    )
 
 
 def run_benchmark(budget: str = "large"):
@@ -123,6 +243,7 @@ def run_benchmark(budget: str = "large"):
 
     speedup = ref_s / max(vec_s, 1e-9)
     asserted = budget == "large"
+    sweep = _lane_sweep(SWEEP_REPEATS[budget])
     payload = {
         "workload": {
             "runs": {
@@ -151,6 +272,10 @@ def run_benchmark(budget: str = "large"):
         "floor_met": speedup >= SPEEDUP_FLOOR,
         "asserted": asserted,
         "bit_identical": True,
+        "lane_sweep": {
+            "repeats": SWEEP_REPEATS[budget],
+            "kernels": sweep,
+        },
     }
     ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -159,6 +284,7 @@ def run_benchmark(budget: str = "large"):
             f"vectorized backend only {speedup:.2f}x vs reference "
             f"(floor {SPEEDUP_FLOOR}x at budget=large)"
         )
+        _check_crossovers(sweep)
     return payload
 
 

@@ -45,11 +45,12 @@ completed chunk partial is durably appended, and ``--resume`` (or
 instead of recomputing them — the resumed artifact is byte-identical to
 an uninterrupted one.  ``--backend``
 (or ``REPRO_BACKEND``) selects the execution engine: ``auto`` (default)
-hands eligible (protocol, strategy) chunks to the NumPy vectorized
-backend and falls back to the reference state machine per task,
-``reference`` forces the state machine, ``vectorized`` asserts
-eligibility and fails loudly on any non-vectorizable task — all three
-produce bit-identical results.  ``--chunk-size`` (or
+hands a chunk of an eligible (protocol, strategy) combination to the
+NumPy vectorized backend when the chunk is at least its kernel's
+crossover width, and runs everything else on the reference state
+machine, ``reference`` forces the state machine, ``vectorized`` asserts
+eligibility at any chunk width and fails loudly on any non-vectorizable
+task — all three produce bit-identical results.  ``--chunk-size`` (or
 ``REPRO_CHUNK_SIZE``) pins the chunk size instead of deriving it from
 ``--runs``.
 """
@@ -236,9 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execution backend for Monte-Carlo chunks (default: "
         "$REPRO_BACKEND or auto); 'auto' uses the NumPy vectorized "
-        "engine for eligible (protocol, strategy) combinations and "
-        "falls back per task, 'vectorized' asserts eligibility, "
-        "'reference' always steps the state machine",
+        "engine for chunks of eligible (protocol, strategy) "
+        "combinations that are at least the kernel's crossover width "
+        "and the state machine for the rest, 'vectorized' asserts "
+        "eligibility at any chunk width, 'reference' always steps the "
+        "state machine",
     )
     parser.add_argument(
         "--chunk-size",

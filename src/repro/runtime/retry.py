@@ -191,8 +191,10 @@ NO_FAULTS = FaultSpec(rate=0.0)
 def _execute_chunk(task, start: int, stop: int, backend: str):
     """Run one chunk on the requested execution backend.
 
-    ``auto`` consults the vectorizability registry and silently falls
-    back to the reference engine; ``vectorized`` raises on tasks no
+    ``auto`` hands a chunk to the task's kernel only when the chunk spans
+    at least the kernel's ``min_lanes`` runs (its crossover width, 1 when
+    the kernel declares none) and otherwise runs the reference engine;
+    ``vectorized`` runs the kernel at any width and raises on tasks no
     kernel covers; ``reference`` never consults the registry.  Kernel
     results are bit-identical to ``task.run_chunk`` by the registry's
     contract, so cache keys and merge semantics are backend-independent.
@@ -202,7 +204,10 @@ def _execute_chunk(task, start: int, stop: int, backend: str):
         from .vectorized.registry import COUNTERS
 
         kernel = kernel_for(task)
-        if kernel is not None:
+        if kernel is not None and (
+            backend == "vectorized"
+            or stop - start >= getattr(kernel, "min_lanes", 1)
+        ):
             t0 = time.perf_counter()
             part = kernel(start, stop)
             PHASES.execute_s += time.perf_counter() - t0

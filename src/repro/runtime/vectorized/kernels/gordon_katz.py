@@ -39,6 +39,17 @@ _VALUE_MASK = (1 << 64) - 1
 #: Largest fake-value table the kernel will precompute.
 _MAX_DOMAIN = 1 << 16
 
+#: Crossover width: the smallest chunk, in runs, that ``auto`` hands to
+#: this kernel.  The kernel makes some 30 ``sha256_batch`` calls per
+#: chunk whatever its width, so per-call NumPy overhead makes it lose to
+#: the reference engine on narrow chunks.  Read off the lane sweep in
+#: ``benchmarks/bench_vectorized.py`` (``BENCH_vectorized.json``): p=4
+#: breaks even between 32 and 40 lanes, p=2 between 40 and 48.  It must
+#: stay above the 16-run chunks the pool, distributed and service venues
+#: cut, and at most the 40-lane p=4 serial batch of E12 under
+#: ``repro verify --budget small``, where the kernel wins.
+LANE_CROSSOVER = 40
+
 _EVENT_BY_CODE = (
     FairnessEvent.E00,
     FairnessEvent.E01,
@@ -250,4 +261,5 @@ def matcher(task, adversary) -> Optional[callable]:
         counts.corruption_counts[corruption] = n
         return counts
 
+    kernel.min_lanes = LANE_CROSSOVER
     return kernel

@@ -16,10 +16,14 @@ per task (memoized on the task object) behind hard eligibility gates:
 
 The *backend policy* — ``auto`` / ``reference`` / ``vectorized`` — comes
 from an explicit runner argument or the ``REPRO_BACKEND`` environment
-variable.  ``auto`` silently falls back per task; ``vectorized`` is an
-assertion and raises on any non-vectorizable task; ``reference`` never
+variable.  ``auto`` runs a chunk on its task's kernel only when the
+chunk is at least the kernel's crossover width (its ``min_lanes``
+attribute, 1 when absent) and falls back to the reference engine
+otherwise, per chunk; ``vectorized`` is an assertion that ignores the
+width and raises on any non-vectorizable task; ``reference`` never
 consults the registry.  The chosen engine is visible afterwards in
-``RunStats`` (``execution_backend`` / ``vectorized_runs``).
+``RunStats`` (``execution_backend`` / ``vectorized_runs``, and
+``ChunkStats.engine`` per chunk).
 """
 
 from __future__ import annotations
@@ -77,7 +81,10 @@ def register_kernel(matcher: Callable) -> Callable:
     Matchers run in registration order; the first non-``None`` kernel
     wins.  A kernel is a callable ``kernel(start, stop) -> partial``
     whose result must be *identical* (not just statistically equal) to
-    ``task.run_chunk(start, stop)``.
+    ``task.run_chunk(start, stop)``.  A kernel that loses to the
+    reference engine on narrow chunks sets ``kernel.min_lanes`` to the
+    smallest chunk width at which it wins; ``auto`` runs narrower chunks
+    on the reference engine.
     """
     _MATCHERS.append(matcher)
     return matcher

@@ -12,6 +12,9 @@ fall back.  These tests pin both halves:
   unknown strategies, non-execution tasks) fall back to the reference
   engine under ``auto`` and raise :class:`BackendError` under the forced
   ``vectorized`` backend, with the choice visible in ``RunStats``;
+  under ``auto`` a chunk narrower than its kernel's crossover width
+  (``min_lanes``) runs on the reference engine, while the forced
+  backend ignores the width;
 * **payload identity** — the deterministic portion of a verification
   artifact is byte-equal across serial/pool/reference/vectorized, and a
   chunk cache warmed under one backend serves the other.
@@ -48,6 +51,7 @@ from repro.runtime import (
     resolve_runner,
     vectorizable,
 )
+from repro.runtime.vectorized import kernel_for
 from repro.verify import verify_claims
 from repro.verify.claims import constant_inputs
 
@@ -253,6 +257,77 @@ def test_pool_vectorized_matches_serial_reference():
     assert ref.corruption_counts == vec.corruption_counts
     assert pool.last_stats.execution_backend == "vectorized"
     assert pool.last_stats.vectorized_runs == 300
+
+
+@needs_numpy
+def test_pool_auto_runs_narrow_gk_chunks_on_reference():
+    """The pool's 16-run chunks are below the Gordon–Katz kernel's
+    crossover width, so ``auto`` keeps every one on the reference
+    engine."""
+    task = _gk_task(n_runs=64, seed="vec-pool-16")
+    ref = SerialRunner(cache=None, backend="reference").run_one(task)
+    pool = ProcessPoolRunner(
+        2, min_parallel_runs=1, chunk_size=16, cache=None, backend="auto"
+    )
+    got = pool.run_one(task)
+    assert got.counts == ref.counts
+    assert got.corruption_counts == ref.corruption_counts
+    assert pool.last_stats.execution_backend == "reference"
+    assert pool.last_stats.vectorized_runs == 0
+    assert [c.engine for c in pool.last_stats.chunks] == ["reference"] * 4
+
+
+@needs_numpy
+def test_auto_splits_a_batch_at_the_crossover_width():
+    """A chunk of exactly the crossover width runs on the kernel; the
+    narrower tail chunk of the same batch runs on the reference
+    engine, and the batch reports both."""
+    crossover = kernel_for(_gk_task()).min_lanes
+    task = _gk_task(n_runs=crossover + 8, seed="vec-crossover")
+    ref = SerialRunner(cache=None, backend="reference").run_one(task)
+    runner = SerialRunner(cache=None, backend="auto", chunk_size=crossover)
+    got = runner.run_one(task)
+    stats = runner.last_stats
+    assert [(c.start, c.stop, c.engine) for c in stats.chunks] == [
+        (0, crossover, "vectorized"),
+        (crossover, crossover + 8, "reference"),
+    ]
+    assert stats.execution_backend == "mixed"
+    assert stats.vectorized_runs == crossover
+    assert got.counts == ref.counts
+    assert got.corruption_counts == ref.corruption_counts
+
+
+@needs_numpy
+def test_forced_vectorized_ignores_the_crossover_width():
+    task = _gk_task(n_runs=32, seed="vec-forced-narrow")
+    runner = SerialRunner(cache=None, backend="vectorized", chunk_size=8)
+    runner.run_one(task)
+    assert runner.last_stats.execution_backend == "vectorized"
+    assert runner.last_stats.vectorized_runs == 32
+    assert {c.engine for c in runner.last_stats.chunks} == {"vectorized"}
+
+
+@needs_numpy
+def test_pool_auto_keeps_release_kernels_on_narrow_chunks():
+    """Release kernels win at every width, so 16-run pool chunks (the
+    service's path) stay vectorized."""
+    task = ExecutionTask(
+        SingleRoundProtocol(make_and()),
+        fixed("lock-watch[0]", lambda: LockWatchingAborter({0})),
+        64,
+        seed="vec-pool-release",
+        input_sampler=constant_inputs((1, 1)),
+    )
+    ref = SerialRunner(cache=None, backend="reference").run_one(task)
+    pool = ProcessPoolRunner(
+        2, min_parallel_runs=1, chunk_size=16, cache=None, backend="auto"
+    )
+    got = pool.run_one(task)
+    assert got.counts == ref.counts
+    assert pool.last_stats.execution_backend == "vectorized"
+    assert pool.last_stats.vectorized_runs == 64
+    assert {c.engine for c in pool.last_stats.chunks} == {"vectorized"}
 
 
 @needs_numpy
