@@ -45,12 +45,11 @@ completed chunk partial is durably appended, and ``--resume`` (or
 instead of recomputing them — the resumed artifact is byte-identical to
 an uninterrupted one.  ``--backend``
 (or ``REPRO_BACKEND``) selects the execution engine: ``auto`` (default)
-hands a chunk of an eligible (protocol, strategy) combination to the
-NumPy vectorized backend when the chunk is at least its kernel's
-crossover width, and runs everything else on the reference state
+hands the chunks of an eligible (protocol, strategy) combination to its
+vectorized chunk kernel and runs everything else on the reference state
 machine, ``reference`` forces the state machine, ``vectorized`` asserts
-eligibility at any chunk width and fails loudly on any non-vectorizable
-task — all three produce bit-identical results.  ``--chunk-size`` (or
+eligibility and fails loudly on any non-vectorizable task or kernel
+failure — all three produce bit-identical results.  ``--chunk-size`` (or
 ``REPRO_CHUNK_SIZE``) pins the chunk size instead of deriving it from
 ``--runs``.
 """
@@ -236,12 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "reference", "vectorized"),
         default=None,
         help="execution backend for Monte-Carlo chunks (default: "
-        "$REPRO_BACKEND or auto); 'auto' uses the NumPy vectorized "
-        "engine for chunks of eligible (protocol, strategy) "
-        "combinations that are at least the kernel's crossover width "
-        "and the state machine for the rest, 'vectorized' asserts "
-        "eligibility at any chunk width, 'reference' always steps the "
-        "state machine",
+        "$REPRO_BACKEND or auto); 'auto' uses the vectorized chunk "
+        "kernels for eligible (protocol, strategy) combinations and "
+        "the state machine for the rest, 'vectorized' asserts "
+        "eligibility, 'reference' always steps the state machine",
     )
     parser.add_argument(
         "--chunk-size",
@@ -743,14 +740,6 @@ def cmd_profile(args, registry) -> str:
             f"({run_stats.vectorized_runs} vectorized runs)"
         ),
     ]
-    from .runtime import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        lines.append(
-            "note: vectorized backend unavailable (numpy not installed); "
-            "all runs used the reference engine — install numpy to "
-            "profile the NumPy kernels"
-        )
     lines.append(_cost_model_table(protocol, args.seed))
     return "\n".join(lines)
 

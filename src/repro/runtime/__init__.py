@@ -12,8 +12,8 @@ failed chunk attempts through the retry ladder in ``runtime.retry``
 never bias a measured event frequency.
 Orthogonally to the venue, each chunk is computed by an *execution
 backend*: the reference state machine, or — for eligible tasks — a
-NumPy kernel from ``runtime.vectorized`` that reproduces the reference
-results bit-for-bit.  See docs/architecture.md ("Measurement runtime" /
+closed-form chunk kernel from ``runtime.vectorized`` that reproduces the
+reference results bit-for-bit.  See docs/architecture.md ("Measurement runtime" /
 "Failure semantics" / "Execution backends").
 """
 
@@ -76,7 +76,6 @@ from .tasks import (
 from .vectorized import (
     BACKENDS,
     ENV_BACKEND,
-    HAVE_NUMPY,
     BackendError,
     resolve_backend,
     vectorizable,
@@ -132,7 +131,6 @@ __all__ = [
     "resolve_heartbeat",
     "BACKENDS",
     "ENV_BACKEND",
-    "HAVE_NUMPY",
     "BackendError",
     "resolve_backend",
     "vectorizable",

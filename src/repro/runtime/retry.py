@@ -191,11 +191,11 @@ NO_FAULTS = FaultSpec(rate=0.0)
 def _execute_chunk(task, start: int, stop: int, backend: str):
     """Run one chunk on the requested execution backend.
 
-    ``auto`` hands a chunk to the task's kernel only when the chunk spans
-    at least the kernel's ``min_lanes`` runs (its crossover width, 1 when
-    the kernel declares none) and otherwise runs the reference engine;
-    ``vectorized`` runs the kernel at any width and raises on tasks no
-    kernel covers; ``reference`` never consults the registry.  Kernel
+    ``auto`` hands a chunk to the task's kernel when it has one and
+    otherwise runs the reference engine; ``vectorized`` raises
+    :class:`BackendError` on tasks no kernel covers and on a kernel that
+    fails, so the retry ladder can never turn the assertion into a
+    reference replay; ``reference`` never consults the registry.  Kernel
     results are bit-identical to ``task.run_chunk`` by the registry's
     contract, so cache keys and merge semantics are backend-independent.
     """
@@ -204,12 +204,18 @@ def _execute_chunk(task, start: int, stop: int, backend: str):
         from .vectorized.registry import COUNTERS
 
         kernel = kernel_for(task)
-        if kernel is not None and (
-            backend == "vectorized"
-            or stop - start >= getattr(kernel, "min_lanes", 1)
-        ):
+        if kernel is not None:
             t0 = time.perf_counter()
-            part = kernel(start, stop)
+            try:
+                part = kernel(start, stop)
+            except Exception as exc:
+                if backend != "vectorized":
+                    raise
+                raise BackendError(
+                    f"backend 'vectorized' was forced but the kernel of "
+                    f"task {getattr(task, 'label', task)!r} failed on "
+                    f"chunk [{start}, {stop}): {exc!r}"
+                ) from exc
             PHASES.execute_s += time.perf_counter() - t0
             COUNTERS["vectorized_runs"] += stop - start
             return part
@@ -217,8 +223,8 @@ def _execute_chunk(task, start: int, stop: int, backend: str):
             raise BackendError(
                 f"backend 'vectorized' was forced but task "
                 f"{getattr(task, 'label', task)!r} has no registered "
-                "kernel (unknown strategy, active faults, non-constant "
-                "inputs, or numpy unavailable); use --backend auto"
+                "kernel (unknown strategy, active faults or non-constant "
+                "inputs); use --backend auto"
             )
     return task.run_chunk(start, stop)
 

@@ -49,7 +49,7 @@ from .journal import RunJournal
 from .retry import ChunkTimeout, FaultSpec, RetryPolicy, run_task_chunk
 from .stats import BatchLog, RunStats
 from .tasks import merge_partials, plan_chunks
-from .vectorized import BackendError, resolve_backend
+from .vectorized import BackendError, kernel_for, resolve_backend
 
 #: Environment variable consulted when no explicit ``jobs`` is given.
 REPRO_JOBS_ENV = "REPRO_JOBS"
@@ -551,6 +551,15 @@ class ProcessPoolRunner(BatchRunner):
                     self.stats_history.append(serial.last_stats)
 
         t0 = time.perf_counter()
+        if self.exec_backend != "reference":
+            # Resolve kernels before the fork: every worker inherits the
+            # memo instead of re-running the matchers (the release
+            # matcher's calibration run among them) per batch.
+            for task in tasks:
+                try:
+                    kernel_for(task)
+                except Exception:
+                    pass  # the workers meet it again inside the retry ladder
         plans = [self._plan(task) for task in tasks]
         values: List = [None] * len(tasks)
         log = BatchLog(observer=self.chunk_observer)

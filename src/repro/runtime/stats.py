@@ -50,7 +50,7 @@ class ChunkStats:
     ``backend`` names the *venue* (``"serial"``/``"process-pool"``/
     ``"distributed"``); ``engine`` names the execution engine that
     computed the partial — ``"reference"`` for the state machine,
-    ``"vectorized"`` for a NumPy kernel, ``"cache"`` when the partial
+    ``"vectorized"`` for a chunk kernel, ``"cache"`` when the partial
     was served from disk, ``"journal"`` when a resume replayed it from
     the run ledger, and in both of those cases no engine ran at all.  ``worker`` is the
     distributed venue's per-host attribution (the remote worker id that
@@ -93,7 +93,7 @@ class RunStats:
     ``execution_backend`` records which engine computed the events:
     ``"reference"``, ``"vectorized"``, or ``"mixed"`` when a batch split
     between them (e.g. some tasks had kernels and others fell back).
-    ``vectorized_runs`` counts the executions handled by NumPy kernels.
+    ``vectorized_runs`` counts the executions handled by chunk kernels.
     """
 
     backend: str

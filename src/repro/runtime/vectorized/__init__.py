@@ -1,27 +1,25 @@
 """The vectorized batch-execution backend.
 
-A NumPy engine that evaluates whole Monte-Carlo chunks of eligible
-``(protocol, adversary strategy)`` combinations as array operations over
-stacked per-run RNG streams, instead of stepping the
-``engine.execution`` state machine once per run.  Results are
-bit-identical to the reference engine — same ``EventCounts``, same cache
-keys, same ``deterministic_payload`` — because every kernel recomputes
-the exact labelled SHA-256 streams the reference ``Rng`` forks would
-produce (see :mod:`.streams`) and derives the per-run fairness event in
-closed form (see :mod:`.kernels`).
+Chunk kernels that compute the fairness events of eligible
+``(protocol, adversary strategy)`` combinations in closed form, instead
+of stepping the ``engine.execution`` state machine once per run.
+Results are bit-identical to the reference engine — same
+``EventCounts``, same cache keys, same ``deterministic_payload`` —
+because every kernel draws the labelled sub-streams the event depends on
+through the reference :class:`~repro.crypto.prf.Rng` (see
+:mod:`.kernels`).  The backend keeps its historical name; it needs
+nothing beyond the standard library.
 
 Public surface:
 
 * :func:`resolve_backend` / :data:`BACKENDS` / :data:`ENV_BACKEND` — the
   ``auto``/``reference``/``vectorized`` dispatch policy;
 * :func:`kernel_for` / :func:`vectorizable` / :func:`register_kernel` —
-  the vectorizability registry;
-* :data:`HAVE_NUMPY` — whether the backend can run at all.
+  the vectorizability registry.
 """
 
 from __future__ import annotations
 
-from .np_compat import HAVE_NUMPY
 from .registry import (
     BACKENDS,
     COUNTERS,
@@ -40,7 +38,6 @@ __all__ = [
     "COUNTERS",
     "ENV_BACKEND",
     "BackendError",
-    "HAVE_NUMPY",
     "SentinelRng",
     "SentinelRngUsed",
     "kernel_for",

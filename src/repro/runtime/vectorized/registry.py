@@ -6,9 +6,9 @@ exact ``(protocol, adversary strategy, input sampler)`` combination?*
 Kernels register a *matcher*; :func:`kernel_for` runs the matchers once
 per task (memoized on the task object) behind hard eligibility gates:
 
-* NumPy present, task is an :class:`~repro.runtime.tasks.ExecutionTask`
-  (anything else — e.g. a transcript-digest task — needs the real
-  engine), and no active fault spec;
+* the task is an :class:`~repro.runtime.tasks.ExecutionTask` (anything
+  else — e.g. a transcript-digest task — needs the real engine), and no
+  active fault spec;
 * the adversary factory ignores its per-run RNG — probed by building one
   instance with a :class:`SentinelRng` that raises on any use, which is
   what keeps rng-consuming strategies (random corruption draws) on the
@@ -16,22 +16,18 @@ per task (memoized on the task object) behind hard eligibility gates:
 
 The *backend policy* — ``auto`` / ``reference`` / ``vectorized`` — comes
 from an explicit runner argument or the ``REPRO_BACKEND`` environment
-variable.  ``auto`` runs a chunk on its task's kernel only when the
-chunk is at least the kernel's crossover width (its ``min_lanes``
-attribute, 1 when absent) and falls back to the reference engine
-otherwise, per chunk; ``vectorized`` is an assertion that ignores the
-width and raises on any non-vectorizable task; ``reference`` never
-consults the registry.  The chosen engine is visible afterwards in
-``RunStats`` (``execution_backend`` / ``vectorized_runs``, and
-``ChunkStats.engine`` per chunk).
+variable.  ``auto`` runs a task's chunks on its kernel when it has one
+and on the reference engine otherwise; ``vectorized`` is an assertion
+that raises on any non-vectorizable task and on any kernel failure;
+``reference`` never consults the registry.  The chosen engine is
+visible afterwards in ``RunStats`` (``execution_backend`` /
+``vectorized_runs``, and ``ChunkStats.engine`` per chunk).
 """
 
 from __future__ import annotations
 
 import os
 from typing import Callable, List, Optional
-
-from .np_compat import HAVE_NUMPY
 
 #: Recognised backend policies, in CLI order.
 BACKENDS = ("auto", "reference", "vectorized")
@@ -81,10 +77,7 @@ def register_kernel(matcher: Callable) -> Callable:
     Matchers run in registration order; the first non-``None`` kernel
     wins.  A kernel is a callable ``kernel(start, stop) -> partial``
     whose result must be *identical* (not just statistically equal) to
-    ``task.run_chunk(start, stop)``.  A kernel that loses to the
-    reference engine on narrow chunks sets ``kernel.min_lanes`` to the
-    smallest chunk width at which it wins; ``auto`` runs narrower chunks
-    on the reference engine.
+    ``task.run_chunk(start, stop)``.
     """
     _MATCHERS.append(matcher)
     return matcher
@@ -117,8 +110,6 @@ def _build_kernel(task) -> Optional[Callable]:
     from . import kernels  # noqa: F401  (importing registers the matchers)
     from ..tasks import ExecutionTask
 
-    if not HAVE_NUMPY:
-        return None
     if not isinstance(task, ExecutionTask):
         return None
     if task.faults is not None and getattr(task.faults, "active", True):

@@ -1,7 +1,7 @@
 """The vectorized batch-execution backend: bit-identity and dispatch.
 
 The backend's entire contract is *exact* equivalence: for every eligible
-``(protocol, adversary strategy)`` combination the NumPy kernels must
+``(protocol, adversary strategy)`` combination the chunk kernels must
 reproduce the reference engine's :class:`EventCounts` — event counts and
 corruption counts — bit-for-bit, on every seed, or refuse the task and
 fall back.  These tests pin both halves:
@@ -12,12 +12,12 @@ fall back.  These tests pin both halves:
   unknown strategies, non-execution tasks) fall back to the reference
   engine under ``auto`` and raise :class:`BackendError` under the forced
   ``vectorized`` backend, with the choice visible in ``RunStats``;
-  under ``auto`` a chunk narrower than its kernel's crossover width
-  (``min_lanes``) runs on the reference engine, while the forced
-  backend ignores the width;
+  eligible chunks of every width run on their kernel, and a kernel
+  failure under the forced backend raises instead of being replayed;
 * **payload identity** — the deterministic portion of a verification
   artifact is byte-equal across serial/pool/reference/vectorized, and a
-  chunk cache warmed under one backend serves the other.
+  chunk cache warmed under one backend serves the other;
+* **footprint** — no ``repro`` entry point imports NumPy.
 """
 
 import json
@@ -33,7 +33,7 @@ from repro.adversaries import (
 )
 from repro.analysis import deterministic_payload, report_to_dict, run_batch
 from repro.engine.faults import ChannelFaultModel, EngineFaults
-from repro.functions import make_and
+from repro.functions import make_and, make_millionaires
 from repro.protocols import (
     GordonKatzProtocol,
     GradualReleaseProtocol,
@@ -41,7 +41,6 @@ from repro.protocols import (
 )
 from repro.runtime import (
     ENV_BACKEND,
-    HAVE_NUMPY,
     BackendError,
     ChunkCache,
     ExecutionTask,
@@ -51,24 +50,22 @@ from repro.runtime import (
     resolve_runner,
     vectorizable,
 )
-from repro.runtime.vectorized import kernel_for
 from repro.verify import verify_claims
 from repro.verify.claims import constant_inputs
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy not installed"
-)
 
 N_SEEDS = 200
 
 
 def _gk_config(i, rnd):
-    """One randomized Gordon–Katz configuration per seed index."""
+    """One randomized Gordon–Katz configuration per seed index: both
+    ShareGen variants, over a binary and a 4-ary function."""
+    func = rnd.choice([make_and, lambda: make_millionaires(2)])()
+    variant = rnd.choice(["domain", "range"])
     p = rnd.choice([2, 3, 4])
     corrupt = rnd.choice([0, 1])
-    known = rnd.choice([0, 1])
-    inputs = (rnd.choice([0, 1]), rnd.choice([0, 1]))
-    protocol = GordonKatzProtocol(make_and(), p=p)
+    known = rnd.choice(func.output_domain)
+    inputs = tuple(rnd.choice(domain) for domain in func.input_domains)
+    protocol = GordonKatzProtocol(func, p=p, variant=variant)
     factory = fixed(
         "known-output",
         lambda c=corrupt, y=known: KnownOutputStopper(c, known_output=y),
@@ -96,7 +93,6 @@ def _gradual_config(i, rnd):
     return protocol, factory, (rnd.choice([0, 1]), rnd.choice([0, 1]))
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "config,label",
     [
@@ -142,7 +138,6 @@ def _gk_task(n_runs=32, seed="vec-dispatch", faults=None):
     )
 
 
-@needs_numpy
 def test_eligible_task_is_vectorizable():
     assert vectorizable(_gk_task())
 
@@ -244,7 +239,6 @@ def test_resolve_backend_env_and_validation(monkeypatch):
     assert resolve_runner(backend="reference").exec_backend == "reference"
 
 
-@needs_numpy
 def test_pool_vectorized_matches_serial_reference():
     task = _gk_task(n_runs=300, seed="vec-pool")
     serial = SerialRunner(cache=None, backend="reference")
@@ -259,11 +253,9 @@ def test_pool_vectorized_matches_serial_reference():
     assert pool.last_stats.vectorized_runs == 300
 
 
-@needs_numpy
-def test_pool_auto_runs_narrow_gk_chunks_on_reference():
-    """The pool's 16-run chunks are below the Gordon–Katz kernel's
-    crossover width, so ``auto`` keeps every one on the reference
-    engine."""
+def test_pool_auto_runs_narrow_gk_chunks_on_the_kernel():
+    """The pool's 16-run Gordon–Katz chunks run on the kernel and fold
+    to the serial reference result."""
     task = _gk_task(n_runs=64, seed="vec-pool-16")
     ref = SerialRunner(cache=None, backend="reference").run_one(task)
     pool = ProcessPoolRunner(
@@ -272,34 +264,24 @@ def test_pool_auto_runs_narrow_gk_chunks_on_reference():
     got = pool.run_one(task)
     assert got.counts == ref.counts
     assert got.corruption_counts == ref.corruption_counts
-    assert pool.last_stats.execution_backend == "reference"
-    assert pool.last_stats.vectorized_runs == 0
-    assert [c.engine for c in pool.last_stats.chunks] == ["reference"] * 4
+    assert pool.last_stats.execution_backend == "vectorized"
+    assert pool.last_stats.vectorized_runs == 64
+    assert [c.engine for c in pool.last_stats.chunks] == ["vectorized"] * 4
 
 
-@needs_numpy
-def test_auto_splits_a_batch_at_the_crossover_width():
-    """A chunk of exactly the crossover width runs on the kernel; the
-    narrower tail chunk of the same batch runs on the reference
-    engine, and the batch reports both."""
-    crossover = kernel_for(_gk_task()).min_lanes
-    task = _gk_task(n_runs=crossover + 8, seed="vec-crossover")
-    ref = SerialRunner(cache=None, backend="reference").run_one(task)
-    runner = SerialRunner(cache=None, backend="auto", chunk_size=crossover)
-    got = runner.run_one(task)
-    stats = runner.last_stats
-    assert [(c.start, c.stop, c.engine) for c in stats.chunks] == [
-        (0, crossover, "vectorized"),
-        (crossover, crossover + 8, "reference"),
-    ]
-    assert stats.execution_backend == "mixed"
-    assert stats.vectorized_runs == crossover
-    assert got.counts == ref.counts
-    assert got.corruption_counts == ref.corruption_counts
+def test_pool_resolves_kernels_before_forking():
+    """The parent memoizes each task's kernel, so the pool's workers
+    inherit it instead of re-running the matchers."""
+    task = _gk_task(n_runs=64, seed="vec-pool-memo")
+    assert "_vectorized_kernel" not in vars(task)
+    pool = ProcessPoolRunner(
+        2, min_parallel_runs=1, chunk_size=16, cache=None, backend="auto"
+    )
+    pool.run_one(task)
+    assert vars(task)["_vectorized_kernel"] is not None
 
 
-@needs_numpy
-def test_forced_vectorized_ignores_the_crossover_width():
+def test_forced_vectorized_runs_narrow_chunks_on_the_kernel():
     task = _gk_task(n_runs=32, seed="vec-forced-narrow")
     runner = SerialRunner(cache=None, backend="vectorized", chunk_size=8)
     runner.run_one(task)
@@ -308,7 +290,28 @@ def test_forced_vectorized_ignores_the_crossover_width():
     assert {c.engine for c in runner.last_stats.chunks} == {"vectorized"}
 
 
-@needs_numpy
+def _crash(start, stop):
+    raise TypeError("kernel bug")
+
+
+def test_forced_vectorized_raises_on_kernel_crash():
+    """A kernel that crashes under the forced backend is a backend
+    failure: the retry ladder must neither retry it nor replay the chunk
+    on the reference engine."""
+    for runner in (
+        SerialRunner(cache=None, backend="vectorized"),
+        ProcessPoolRunner(
+            2, min_parallel_runs=1, cache=None, backend="vectorized"
+        ),
+    ):
+        task = _gk_task(n_runs=32, seed="vec-crash")
+        task._vectorized_kernel = _crash
+        with pytest.raises(BackendError, match="kernel bug"):
+            runner.run_one(task)
+        assert runner.last_stats.failed_attempts == 0
+        assert runner.last_stats.serial_replays == 0
+
+
 def test_pool_auto_keeps_release_kernels_on_narrow_chunks():
     """Release kernels win at every width, so 16-run pool chunks (the
     service's path) stay vectorized."""
@@ -330,7 +333,6 @@ def test_pool_auto_keeps_release_kernels_on_narrow_chunks():
     assert {c.engine for c in pool.last_stats.chunks} == {"vectorized"}
 
 
-@needs_numpy
 def test_cache_warmed_by_one_backend_serves_the_other(tmp_path):
     """Vectorized and reference chunks share cache keys because their
     partials are bit-identical."""
@@ -344,7 +346,6 @@ def test_cache_warmed_by_one_backend_serves_the_other(tmp_path):
     assert value.counts == warm.run_one(_gk_task(seed="vec-cache")).counts
 
 
-@needs_numpy
 def test_verification_payload_byte_equal_across_backends():
     """The deterministic portion of a verify artifact must not depend on
     the venue or the execution backend."""
@@ -374,7 +375,16 @@ def test_verification_payload_byte_equal_across_backends():
 
 
 def test_e20_claims_pass_at_small_budget():
-    """The backend-equivalence claim family verifies (or skips cleanly
-    when numpy is absent)."""
+    """The backend-equivalence claim family verifies."""
     report = verify_claims("E20", budget="small", seed="vec-e20")
     assert report.exit_code == 0
+
+
+def test_entry_points_do_not_import_numpy(fresh_python):
+    """The backend is pure standard library: loading the CLI, the
+    service and the verifier pulls in no NumPy."""
+    out = fresh_python(
+        "import sys, repro.cli, repro.service, repro.verify; "
+        "print('numpy' in sys.modules)"
+    )
+    assert out.strip() == "False"
