@@ -27,7 +27,6 @@ pytest.
 """
 
 import json
-import os
 import sys
 import tempfile
 import time
@@ -41,7 +40,7 @@ from repro.core import STANDARD_GAMMA
 from repro.functions import make_and, make_swap
 from repro.gmw import gmw_from_spec
 from repro.protocols import Opt2SfeProtocol
-from repro.runtime import ChunkCache, ProcessPoolRunner, SerialRunner
+from repro.runtime import ChunkCache, ProcessPoolRunner, SerialRunner, usable_cpus
 
 RUNS_2SFE = 150
 RUNS_GMW = 60
@@ -89,7 +88,7 @@ def _sweep(runner):
 
 
 def run_benchmark():
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
 
     # Pass 1: cold — this process has not built these protocols yet.
     cold_estimates, cold_s, cold_tot = _sweep(SerialRunner(cache=None))

@@ -21,7 +21,6 @@ pytest.
 """
 
 import json
-import os
 import sys
 import tempfile
 import time
@@ -34,7 +33,7 @@ from repro.analysis import sweep_strategies
 from repro.core import STANDARD_GAMMA
 from repro.functions import make_swap
 from repro.protocols import Opt2SfeProtocol
-from repro.runtime import NO_FAULTS, RunJournal, SerialRunner
+from repro.runtime import NO_FAULTS, RunJournal, SerialRunner, usable_cpus
 
 RUNS = 200
 SPEEDUP_FLOOR = 2.0
@@ -66,7 +65,7 @@ def _sweep(journal):
 
 
 def run_benchmark():
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
 
     # Reference pass: no ledger anywhere near the batch.
     plain_estimates, plain_s, _ = _sweep(journal=None)

@@ -17,7 +17,6 @@ penalty of absorbing them — with the hard assertion that the recovered
 results are bit-identical to the failure-free ones.
 """
 
-import os
 import sys
 from pathlib import Path
 
@@ -30,7 +29,13 @@ from repro.analysis import sweep_strategies
 from repro.core import STANDARD_GAMMA
 from repro.functions import make_swap
 from repro.protocols import Opt2SfeProtocol
-from repro.runtime import FaultSpec, ProcessPoolRunner, RetryPolicy, SerialRunner
+from repro.runtime import (
+    FaultSpec,
+    ProcessPoolRunner,
+    RetryPolicy,
+    SerialRunner,
+    usable_cpus,
+)
 
 RUNS = 150  # × 16 strategies = 2400 executions per backend
 JOBS = 4
@@ -83,7 +88,7 @@ def test_runtime_scaling(benchmark, capsys):
     assert faulty_estimates == serial_estimates
 
     speedup = pool_stats.executions_per_sec / serial_stats.executions_per_sec
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     benchmark.extra_info.update(
         {
             "total_executions": total,

@@ -17,7 +17,7 @@ chunk per width in :data:`SWEEP_LANES`, and records each kernel's
 break-even width: the narrowest swept width from which on the kernel
 never loses.  The sweep is the evidence that ``--backend auto`` may hand
 chunks of every width to their kernel, down to the 16-run chunks the
-pool, distributed and service venues cut.
+pool and service venues cut.
 
 Bit-identity is asserted unconditionally: every task's event counts and
 corruption counts must match exactly, run for run, at every swept width.
@@ -50,14 +50,14 @@ from repro.protocols import (
     GradualReleaseProtocol,
     SingleRoundProtocol,
 )
-from repro.runtime import ExecutionTask, SerialRunner
+from repro.runtime import ExecutionTask, SerialRunner, usable_cpus
 from repro.runtime.vectorized import kernel_for
 from repro.verify.claims import constant_inputs
 
 SPEEDUP_FLOOR = 10.0
 
-#: Chunk widths of the lane sweep, in runs (16 is the width of pool,
-#: distributed and service chunks).
+#: Chunk widths of the lane sweep, in runs (16 is the width of pool and
+#: service chunks).
 SWEEP_LANES = (8, 16, 24, 32, 40, 48, 64, 96, 128, 160, 256)
 
 #: Timed repeats per sweep point at each budget (the median is kept).
@@ -191,7 +191,7 @@ def run_benchmark(budget: str = "large"):
     if budget not in ("small", "large"):
         raise SystemExit(f"unknown budget {budget!r}; use small or large")
     scale = 1 if budget == "large" else 8
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
 
     ref_results, ref_s, ref_vec_runs = _sweep("reference", scale)
     vec_results, vec_s, vec_runs = _sweep("vectorized", scale)

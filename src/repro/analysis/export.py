@@ -120,7 +120,6 @@ def chunk_stats_to_dict(chunk: ChunkStats) -> dict:
         "classify_s": chunk.classify_s,
         "cache": chunk.cache,
         "engine": chunk.engine,
-        "worker": chunk.worker,
     }
 
 
@@ -140,7 +139,6 @@ def run_stats_to_dict(stats: RunStats) -> dict:
         "timeouts": stats.timeouts,
         "serial_replays": stats.serial_replays,
         "cancelled_chunks": stats.cancelled_chunks,
-        "worker_deaths": stats.worker_deaths,
         "journal_replayed_chunks": stats.journal_replayed_chunks,
         "journal_appended_chunks": stats.journal_appended_chunks,
         "journal_corrupt_records": stats.journal_corrupt_records,

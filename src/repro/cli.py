@@ -12,8 +12,6 @@ Commands
 ``profile``        cProfile a small batch and print the top hotspots
 ``verify``         check the registered paper claims (E1–E21) and exit
                    0 (all ok) / 1 (violated) / 2 (bad claim spec)
-``worker``         serve chunk executions to a distributed coordinator
-                   (``repro worker --listen HOST:PORT``)
 ``serve``          serve the whole experiment surface as a JSON-RPC job
                    API with content-addressed dedupe, streaming partial
                    RunStats, and per-tenant rate limits
@@ -25,20 +23,17 @@ Commands
 
 All measurements are Monte-Carlo; ``--runs`` and ``--seed`` control the
 budget and reproducibility, and ``--jobs`` (or the ``REPRO_JOBS``
-environment variable) fans batches out over worker processes without
-changing any result.  ``--workers host:port,…`` (or ``REPRO_WORKERS``)
-goes one step further and ships chunks to ``repro worker`` processes on
-other hosts — still bit-identical, still recoverable (dead or wedged
-workers have their chunks reassigned; with every worker lost the batch
-finishes in-process).  ``--max-retries`` and ``--chunk-timeout`` tune the
-runtime's failure semantics (failed or stalled chunks are re-executed,
-bit-identically, before degrading to in-process replay), and ``--stats``
-appends a JSON dump of every batch's ``RunStats`` — including retry and
-degradation counters, per-phase timings, and cache traffic — after the
-command output.  ``--cache DIR`` (or ``REPRO_CACHE_DIR``) enables the
-persistent chunk-result cache: re-running a sweep with the same
-protocol, strategies, seed, and fault config replays stored chunk
-partials bit-identically instead of recomputing them.  ``--journal DIR``
+environment variable) fans batches out over forked worker processes on
+this host without changing any result.  ``--max-retries`` and
+``--chunk-timeout`` tune the runtime's failure semantics (failed or
+stalled chunks are re-executed, bit-identically, before degrading to
+in-process replay), and ``--stats`` appends a JSON dump of every batch's
+``RunStats`` — including retry and degradation counters, per-phase
+timings, and cache traffic — after the command output.  ``--cache DIR``
+(or ``REPRO_CACHE_DIR``) enables the persistent chunk-result cache:
+re-running a sweep with the same protocol, strategies, seed, and fault
+config replays stored chunk partials bit-identically instead of
+recomputing them.  ``--journal DIR``
 (or ``REPRO_JOURNAL_DIR``) enables the crash-safe run ledger: every
 completed chunk partial is durably appended, and ``--resume`` (or
 ``REPRO_RESUME=1``) replays the journaled spans of an interrupted run
@@ -182,16 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_parse_jobs,
         default=None,
-        help="worker processes for Monte-Carlo batches "
-        "(default: $REPRO_JOBS or 1; 0 = all CPUs)",
-    )
-    parser.add_argument(
-        "--workers",
-        default=None,
-        metavar="HOST:PORT,…",
-        help="distributed worker addresses (default: $REPRO_WORKERS or "
-        "none); when set, chunks are shipped to 'repro worker' processes "
-        "instead of a local pool — results stay bit-identical",
+        help="forked worker processes for Monte-Carlo batches on this "
+        "host (default: $REPRO_JOBS or 1; 0 or REPRO_JOBS=auto = every "
+        "CPU this process may run on)",
     )
     parser.add_argument(
         "--max-retries",
@@ -373,11 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=argparse.SUPPRESS,
     )
     verify.add_argument(
-        "--workers",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    verify.add_argument(
         "--journal",
         default=argparse.SUPPRESS,
         help=argparse.SUPPRESS,
@@ -411,9 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--venues",
         default="serial,pool",
-        help="comma-separated venues the planner may draw: serial, pool, "
-        "distributed (default serial,pool; distributed spawns real "
-        "'repro worker' subprocesses)",
+        help="comma-separated venues the planner may draw: serial, pool "
+        "(default serial,pool)",
     )
     chaos.add_argument(
         "--dims",
@@ -427,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="VENUE:DIM+DIM",
         help="append one explicit trial after the planned ones (repeatable; "
-        "e.g. 'distributed:worker-kill+chunk-faults') — CI uses this for "
+        "e.g. 'pool:worker-kill+chunk-faults') — CI uses this for "
         "deterministic coverage of specific combinations",
     )
     chaos.add_argument(
@@ -456,24 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the full campaign report (per-trial specs, failures, "
         "observed counters) as JSON",
-    )
-
-    worker = sub.add_parser(
-        "worker",
-        help="serve Monte-Carlo chunk executions to a distributed "
-        "coordinator (see --workers)",
-    )
-    worker.add_argument(
-        "--listen",
-        default="127.0.0.1:0",
-        metavar="HOST:PORT",
-        help="address to listen on (default 127.0.0.1:0 — port 0 lets "
-        "the OS pick; the chosen port is announced on stdout as JSON)",
-    )
-    worker.add_argument(
-        "--once",
-        action="store_true",
-        help="exit after serving one coordinator session (test/CI mode)",
     )
 
     serve_cmd = sub.add_parser(
@@ -861,28 +825,14 @@ def _parse_listen(text: str):
     return host, port
 
 
-def cmd_worker(args, registry) -> str:
-    """Run a distributed worker server until interrupted (or, with
-    ``--once``, until its first coordinator disconnects)."""
-    from .runtime.distributed import serve
-
-    host, port = _parse_listen(args.listen)
-    try:
-        serve(host, port, once=args.once)
-    except KeyboardInterrupt:
-        pass
-    return ""
-
-
 def cmd_serve(args, registry) -> str:
     """Run the fairness service until interrupted.
 
     Each job executes in one of the ``--service-workers`` job processes,
     on a fresh runner built from the same global flags every other
-    command honours (``--jobs``, ``--cache``, ``--backend``,
-    ``--workers``, ...), so a service job and the
-    equivalent CLI invocation share chunk-cache entries and produce
-    byte-identical ``deterministic_payload``s.
+    command honours (``--jobs``, ``--cache``, ``--backend``, ...), so a
+    service job and the equivalent CLI invocation share chunk-cache
+    entries and produce byte-identical ``deterministic_payload``s.
     """
     from .service import ServiceServer
 
@@ -927,7 +877,6 @@ COMMANDS = {
     "fault-sensitivity": cmd_fault_sensitivity,
     "profile": cmd_profile,
     "verify": cmd_verify,
-    "worker": cmd_worker,
     "serve": cmd_serve,
     "chaos": cmd_chaos,
 }
@@ -936,9 +885,9 @@ COMMANDS = {
 def _build_runner(args):
     """One runner for the whole command, so ``--stats`` sees every batch."""
     # Every knob parsed here (REPRO_CHUNK_TIMEOUT, REPRO_JOBS,
-    # REPRO_WORKERS, REPRO_HEARTBEAT_S, REPRO_RESUME, --resume without a
-    # directory, ...) raises ValueError naming itself; at the CLI
-    # surface that is a usage error, reported like argparse's own.
+    # REPRO_RESUME, --resume without a directory, ...) raises ValueError
+    # naming itself; at the CLI surface that is a usage error, reported
+    # like argparse's own.
     try:
         retry = RetryPolicy.from_env()
         if args.max_retries is not None:
@@ -952,7 +901,6 @@ def _build_runner(args):
             retry=retry,
             cache=resolve_cache(args.cache),
             backend=args.backend,
-            workers=args.workers,
             journal=journal,
         )
     except ValueError as exc:

@@ -3,13 +3,11 @@ failure semantics.
 
 The analysis layer expresses every measurement as a list of tasks and
 hands them to a :class:`BatchRunner`; :class:`SerialRunner` replays the
-historical in-process loop, :class:`ProcessPoolRunner` fans chunks out
-over forked worker processes, and :class:`DistributedRunner` ships them
-to TCP workers on other hosts (``runtime.distributed``).  All three
-produce bit-identical results for the same seed — and all recover from
-failed chunk attempts through the retry ladder in ``runtime.retry``
-(bounded retries, then trusted serial replay), so a crashed worker can
-never bias a measured event frequency.
+historical in-process loop and :class:`ProcessPoolRunner` fans chunks out
+over forked worker processes.  Both produce bit-identical results for
+the same seed — and both recover from failed chunk attempts through the
+retry ladder in ``runtime.retry`` (bounded retries, then trusted serial
+replay), so a crashed worker can never bias a measured event frequency.
 Orthogonally to the venue, each chunk is computed by an *execution
 backend*: the reference state machine, or — for eligible tasks — a
 closed-form chunk kernel from ``runtime.vectorized`` that reproduces the
@@ -50,14 +48,7 @@ from .runner import (
     resolve_chunk_size,
     resolve_jobs,
     resolve_runner,
-)
-# (after .runner: the coordinator builds on BatchRunner/SerialRunner)
-from .distributed import (
-    ENV_HEARTBEAT,
-    ENV_WORKERS,
-    DistributedRunner,
-    parse_workers,
-    resolve_heartbeat,
+    usable_cpus,
 )
 from .journal import (
     ENV_JOURNAL_DIR,
@@ -85,9 +76,6 @@ __all__ = [
     "BatchRunner",
     "SerialRunner",
     "ProcessPoolRunner",
-    "DistributedRunner",
-    "parse_workers",
-    "ENV_WORKERS",
     "ExecutionTask",
     "RunStats",
     "ChunkStats",
@@ -103,6 +91,7 @@ __all__ = [
     "CiWidthStop",
     "resolve_jobs",
     "resolve_runner",
+    "usable_cpus",
     "default_chunk_size",
     "merge_partials",
     "plan_chunks",
@@ -127,8 +116,6 @@ __all__ = [
     "ENV_JOURNAL_DIR",
     "ENV_RESUME",
     "JOURNAL_SCHEMA_VERSION",
-    "ENV_HEARTBEAT",
-    "resolve_heartbeat",
     "BACKENDS",
     "ENV_BACKEND",
     "BackendError",

@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from ..crypto.prf import encode_seed
+from .codec import WireError, decode_partial, encode_partial
 
 #: Environment variable naming the chunk-cache directory (opt-in).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -61,12 +62,11 @@ CACHE_SCHEMA_VERSION = 3
 
 #: On-disk entry layout since schema v3: a 4-byte magic, the SHA-256 of
 #: the payload, then the payload itself — the partial in the tagged-JSON
-#: form of :func:`~repro.runtime.distributed.wire.encode_partial`, the
-#: codec the run journal and the distributed wire use.  The digest turns
-#: a torn write or a flipped bit into a *detected* corruption
-#: (quarantined and counted) instead of an undifferentiated miss, and
-#: the codec means a hostile entry can at worst decode to wrong counts,
-#: never execute code.
+#: form of :func:`~repro.runtime.codec.encode_partial`, the codec the
+#: run journal uses too.  The digest turns a torn write or a flipped bit
+#: into a *detected* corruption (quarantined and counted) instead of an
+#: undifferentiated miss, and the codec means a hostile entry can at
+#: worst decode to wrong counts, never execute code.
 _ENTRY_MAGIC = b"RCC3"
 _DIGEST_BYTES = 32
 
@@ -216,10 +216,6 @@ class ChunkCache:
         quarantined (renamed aside so it cannot poison the next lookup
         either) and counted as both corrupt and a miss.
         """
-        # Imported lazily: the distributed package imports the runners,
-        # which import this module.
-        from .distributed.wire import decode_partial
-
         path = self._path(key)
         try:
             data = path.read_bytes()
@@ -258,8 +254,6 @@ class ChunkCache:
 
     def store(self, key: str, value) -> None:
         """Atomically persist one partial (best-effort, checksummed)."""
-        from .distributed.wire import WireError, encode_partial
-
         try:
             encoded = encode_partial(value)
         except WireError:

@@ -3,10 +3,10 @@
 The runtime's failure semantics are tested piecewise (retry ladder,
 cache integrity, journal resume, worker death) — this module tests them
 *composed*.  A campaign is a seeded, fully reproducible plan of trials;
-each trial picks an execution venue (serial / pool / distributed) and a
-subset of fault dimensions, runs a fixed reference workload under those
-faults, and asserts the invariants the runtime promises no matter what
-was injected:
+each trial picks an execution venue (serial / pool) and a subset of
+fault dimensions, runs a fixed reference workload under those faults,
+and asserts the invariants the runtime promises no matter what was
+injected:
 
 * **payload bit-identity** — the merged task values equal a fault-free
   serial baseline, byte for byte (compared through the canonical wire
@@ -56,20 +56,20 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..crypto.prf import Rng
 from .cache import ChunkCache
+from .codec import encode_partial
 from .journal import RunJournal
 from .retry import NO_FAULTS, FaultSpec, RetryPolicy
 from .runner import ProcessPoolRunner, SerialRunner
 from .tasks import ExecutionTask, plan_chunks
 
 #: Execution venues a trial can target.
-VENUES = ("serial", "pool", "distributed")
+VENUES = ("serial", "pool")
 
 #: Fault dimensions a trial can compose (canonical order).
 DIMENSIONS = (
@@ -99,7 +99,6 @@ _SCRUBBED_ENV = (
     "REPRO_CACHE_DIR",
     "REPRO_JOURNAL_DIR",
     "REPRO_RESUME",
-    "REPRO_WORKERS",
     "REPRO_JOBS",
     "REPRO_MAX_RETRIES",
     "REPRO_CHUNK_TIMEOUT",
@@ -266,12 +265,10 @@ def _engine_fault_bundle():
 def payload_fingerprint(values) -> str:
     """Canonical digest of a batch's merged values.
 
-    Built on the wire codec (the one representation every venue already
-    round-trips), so "bit-identical" means the same thing here as it
-    does for journal records and distributed partials.
+    Built on the partial codec (the one representation every chunk store
+    already round-trips), so "bit-identical" means the same thing here as
+    it does for journal records and cache entries.
     """
-    from .distributed.wire import encode_partial
-
     blob = json.dumps(
         [encode_partial(v) for v in values],
         sort_keys=True,
@@ -321,41 +318,6 @@ def _subprocess_env() -> dict:
     for key in _SCRUBBED_ENV:
         env.pop(key, None)
     return env
-
-
-@contextmanager
-def _worker_fleet(n: int):
-    """``n`` real ``repro worker`` subprocesses; yields their addresses."""
-    env = _subprocess_env()
-    procs: List[subprocess.Popen] = []
-    addrs: List[str] = []
-    try:
-        for _ in range(n):
-            proc = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "worker",
-                    "--listen", "127.0.0.1:0",
-                ],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                text=True,
-                env=env,
-            )
-            procs.append(proc)
-            line = proc.stdout.readline()
-            info = json.loads(line)
-            addrs.append(f"127.0.0.1:{info['port']}")
-        yield addrs
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                pass
-            if proc.stdout is not None:
-                proc.stdout.close()
 
 
 def _leak_failure(threads_before: int, deadline_s: float = 10.0) -> Optional[str]:
@@ -491,7 +453,6 @@ class _Campaign:
         runner.journal = None
         return runner
 
-    @contextmanager
     def venue_runner(self, spec: TrialSpec, fault, journal, cache):
         """A runner on the trial's venue with exactly the given stores."""
         kwargs = dict(
@@ -502,21 +463,10 @@ class _Campaign:
         )
         if spec.venue == "serial":
             runner = SerialRunner(**kwargs)
-            runner.cache = cache
-            yield runner
-        elif spec.venue == "pool":
+        else:
             runner = ProcessPoolRunner(2, min_parallel_runs=0, **kwargs)
-            runner.cache = cache
-            yield runner
-        elif spec.venue == "distributed":
-            from .distributed import DistributedRunner
-
-            with _worker_fleet(2) as addrs:
-                runner = DistributedRunner(addrs, **kwargs)
-                runner.cache = cache
-                yield runner
-        else:  # pragma: no cover - specs are validated at construction
-            raise ValueError(f"unknown venue {spec.venue!r}")
+        runner.cache = cache
+        return runner
 
 
 def _serial_prepass(campaign: _Campaign, engine: bool, journal=None, cache=None):
@@ -574,23 +524,17 @@ def run_trial(spec: TrialSpec, campaign: _Campaign) -> TrialResult:
         observed["boom_start"] = boom_start
         tasks = campaign.tasks(engine)
         tasks[0] = _InterruptingTask(tasks[0], boom_start)
-        with campaign.venue_runner(
-            spec, fault, RunJournal(journal_dir), None
-        ) as runner:
-            try:
-                runner.run(tasks)
-                failures.append(
-                    "interrupt phase ran to completion without raising"
-                )
-            except KeyboardInterrupt:
-                stats = runner.last_stats
-                if stats is None or stats.cancelled_chunks < 1:
-                    failures.append(
-                        "interrupted batch recorded no cancelled chunks"
-                    )
-                if stats is not None:
-                    phase_stats.append(stats)
-                    observed["interrupt_cancelled"] = stats.cancelled_chunks
+        runner = campaign.venue_runner(spec, fault, RunJournal(journal_dir), None)
+        try:
+            runner.run(tasks)
+            failures.append("interrupt phase ran to completion without raising")
+        except KeyboardInterrupt:
+            stats = runner.last_stats
+            if stats is None or stats.cancelled_chunks < 1:
+                failures.append("interrupted batch recorded no cancelled chunks")
+            if stats is not None:
+                phase_stats.append(stats)
+                observed["interrupt_cancelled"] = stats.cancelled_chunks
         resume = True
 
     # --- main phase --------------------------------------------------------
@@ -598,17 +542,17 @@ def run_trial(spec: TrialSpec, campaign: _Campaign) -> TrialResult:
     stats = None
     journal = RunJournal(journal_dir, resume=resume)
     cache = ChunkCache(cache_dir) if use_cache else None
-    with campaign.venue_runner(spec, fault, journal, cache) as runner:
-        try:
-            values = runner.run(campaign.tasks(engine))
-        except Exception as exc:
-            failures.append(
-                f"main phase raised {type(exc).__name__}: {exc} "
-                "(faults must degrade, never fail a batch)"
-            )
-        stats = runner.last_stats
-        if stats is not None:
-            phase_stats.append(stats)
+    runner = campaign.venue_runner(spec, fault, journal, cache)
+    try:
+        values = runner.run(campaign.tasks(engine))
+    except Exception as exc:
+        failures.append(
+            f"main phase raised {type(exc).__name__}: {exc} "
+            "(faults must degrade, never fail a batch)"
+        )
+    stats = runner.last_stats
+    if stats is not None:
+        phase_stats.append(stats)
 
     # --- invariants ---------------------------------------------------------
     if values is not None:
@@ -655,20 +599,10 @@ def run_trial(spec: TrialSpec, campaign: _Campaign) -> TrialResult:
                         f"serial_replays {stats.serial_replays} != "
                         f"schedule-predicted {predicted_replays}"
                     )
-            else:
-                if faulted and stats.failed_attempts < 1:
-                    failures.append(
-                        "injected chunk faults left no failed-attempt trace"
-                    )
-                if (
-                    spec.venue == "distributed"
-                    and fault.kind == "exit"
-                    and faulted
-                    and stats.worker_deaths < 1
-                ):
-                    failures.append(
-                        "worker-kill faults registered no worker deaths"
-                    )
+            elif faulted and stats.failed_attempts < 1:
+                failures.append(
+                    "injected chunk faults left no failed-attempt trace"
+                )
 
     def across_phases(attr: str) -> int:
         return sum(getattr(s, attr) for s in phase_stats)

@@ -8,7 +8,7 @@ contract as the chunk cache: PR 1/2 made every ``(task, seed, span)``
 triple bit-identically replayable, so a journaled partial *is* the value
 the chunk would compute, the merge order is unchanged, and the resumed
 ``deterministic_payload`` is byte-identical to an uninterrupted run on
-every venue (serial, process-pool, distributed).
+every venue (serial, process-pool).
 
 Ledger format — built to survive a SIGKILL at any instant:
 
@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto.prf import encode_seed
+from .codec import WireError, decode_partial, encode_partial
 
 try:  # pragma: no cover - platform probe
     import fcntl
@@ -175,8 +176,6 @@ class RunJournal:
         key = self.key_for(task, start, stop)
         if key is None:
             return False
-        from .distributed.wire import WireError, encode_partial
-
         try:
             payload = encode_partial(partial)
         except WireError:
@@ -296,8 +295,6 @@ class RunJournal:
                     self._quarantine(self._record_path(other))
                     self._new_stale += 1
             return False, None
-        from .distributed.wire import WireError, decode_partial
-
         try:
             partial = decode_partial(record["partial"])
         except (WireError, KeyError, TypeError, ValueError):

@@ -77,17 +77,26 @@ _STARVATION_POLL_S = 15.0
 _STARVATION_GRACE_S = 120.0
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    exposes one, else the machine's CPU count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Effective worker count: explicit arg > ``REPRO_JOBS`` > 1.
 
-    ``0`` (or the env value ``"auto"``) means "use every CPU".
+    ``0`` (or the env value ``"auto"``) means "use every CPU this process
+    may run on" (:func:`usable_cpus`).
     """
     if jobs is None:
         raw = os.environ.get(REPRO_JOBS_ENV, "").strip()
         if not raw:
             return 1
         if raw.lower() == "auto":
-            jobs = os.cpu_count() or 1
+            jobs = usable_cpus()
         else:
             try:
                 jobs = int(raw)
@@ -104,7 +113,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
                     f"got {raw!r}"
                 )
     if jobs == 0:
-        jobs = os.cpu_count() or 1
+        jobs = usable_cpus()
     if jobs < 0:
         raise ValueError(f"jobs must be non-negative, got {jobs}")
     return max(1, jobs)
@@ -147,26 +156,16 @@ def resolve_runner(
     fault: Optional[FaultSpec] = None,
     cache: Optional[ChunkCache] = None,
     backend: Optional[str] = None,
-    workers=None,
     journal: Optional[RunJournal] = None,
 ) -> "BatchRunner":
-    """Build the runner implied by ``workers``/``jobs`` (serial if ≤ 1).
+    """Build the runner implied by ``jobs``/``REPRO_JOBS``: the process
+    pool above one job, serial otherwise.
 
-    Venue precedence: ``workers`` (CLI ``--workers`` / ``REPRO_WORKERS``
-    — the distributed venue) > ``jobs``/``REPRO_JOBS`` (process pool) >
-    serial.  ``retry``/``fault``/``cache``/``backend``/``journal``
+    ``retry``/``fault``/``cache``/``backend``/``journal``
     default to the ``REPRO_MAX_RETRIES`` / ``REPRO_CHUNK_TIMEOUT`` /
     ``REPRO_FAULT_*`` / ``REPRO_CACHE_DIR`` / ``REPRO_BACKEND`` /
     ``REPRO_JOURNAL_DIR`` environment knobs.
     """
-    from .distributed import DistributedRunner, parse_workers
-
-    addrs = parse_workers(workers)
-    if addrs:
-        return DistributedRunner(
-            addrs, chunk_size=chunk_size, retry=retry, fault=fault,
-            cache=cache, backend=backend, journal=journal,
-        )
     n = resolve_jobs(jobs)
     if n <= 1:
         return SerialRunner(
@@ -279,7 +278,6 @@ class BatchRunner:
             timeouts=log.timeouts,
             serial_replays=log.serial_replays,
             cancelled_chunks=log.cancelled,
-            worker_deaths=log.worker_deaths,
             journal_replayed_chunks=log.journal_replayed,
             journal_appended_chunks=log.journal_appends,
             journal_corrupt_records=log.journal_corrupt,

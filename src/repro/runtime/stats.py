@@ -47,15 +47,12 @@ class ChunkStats:
     served from disk, ``"stored"`` — computed and persisted, ``""`` — no
     cache involved.
 
-    ``backend`` names the *venue* (``"serial"``/``"process-pool"``/
-    ``"distributed"``); ``engine`` names the execution engine that
-    computed the partial — ``"reference"`` for the state machine,
-    ``"vectorized"`` for a chunk kernel, ``"cache"`` when the partial
-    was served from disk, ``"journal"`` when a resume replayed it from
-    the run ledger, and in both of those cases no engine ran at all.  ``worker`` is the
-    distributed venue's per-host attribution (the remote worker id that
-    produced the partial; empty for in-process chunks), so a slow or
-    flaky host is traceable from the exported stats.
+    ``backend`` names the *venue* (``"serial"``/``"process-pool"``);
+    ``engine`` names the execution engine that computed the partial —
+    ``"reference"`` for the state machine, ``"vectorized"`` for a chunk
+    kernel, ``"cache"`` when the partial was served from disk,
+    ``"journal"`` when a resume replayed it from the run ledger, and in
+    both of those cases no engine ran at all.
     """
 
     task_index: int
@@ -70,7 +67,6 @@ class ChunkStats:
     classify_s: float = 0.0
     cache: str = ""
     engine: str = "reference"
-    worker: str = ""
 
     @property
     def n_runs(self) -> int:
@@ -109,9 +105,6 @@ class RunStats:
     timeouts: int = 0
     serial_replays: int = 0
     cancelled_chunks: int = 0
-    #: Distributed venue only: workers that died mid-batch (EOF, stale
-    #: heartbeat, send failure) and had their chunks reassigned.
-    worker_deaths: int = 0
     #: Crash-safe run-ledger traffic (see ``runtime.journal``): spans
     #: replayed from the journal on a resume, spans durably appended by
     #: this batch, and records quarantined as corrupt (bad checksum /
@@ -218,7 +211,6 @@ class BatchLog:
         self.timeouts = 0
         self.serial_replays = 0
         self.cancelled = 0
-        self.worker_deaths = 0
         self.journal_replayed = 0
         self.journal_appends = 0
         self.journal_corrupt = 0
@@ -246,21 +238,18 @@ class BatchLog:
         backend: str,
         wall_clock_s: float,
         inst: Optional[dict] = None,
-        worker: str = "",
     ) -> None:
         """Record one resolved chunk.
 
         ``inst`` is the instrumentation delta measured around the chunk
         (phase seconds plus memo/cache counter increments — see
-        ``runtime.cache.instrumentation_delta``); for pool and
-        distributed chunks it is the delta the worker shipped back with
-        the partial.  ``worker`` attributes distributed chunks to the
-        remote host that computed them.
+        ``runtime.cache.instrumentation_delta``); for pool chunks it is
+        the delta the worker shipped back with the partial.
         """
         inst = inst or {}
         record = self._build_chunk(
             task_index, start, stop, attempts, outcome, backend,
-            wall_clock_s, inst, worker,
+            wall_clock_s, inst,
         )
         self.chunks.append(record)
         if self.observer is not None:
@@ -299,7 +288,6 @@ class BatchLog:
         backend: str,
         wall_clock_s: float,
         inst: dict,
-        worker: str,
     ) -> ChunkStats:
         cache_state = ""
         if inst.get("cache_hits"):
@@ -327,7 +315,6 @@ class BatchLog:
             classify_s=inst.get("classify_s", 0.0),
             cache=cache_state,
             engine=engine,
-            worker=worker,
         )
 
 

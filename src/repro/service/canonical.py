@@ -5,7 +5,7 @@ fields, defaults, and a normalizer per field.  :func:`canonicalize`
 folds an incoming JSON-RPC ``params`` object onto that schema — unknown
 fields are rejected, omitted optionals take their defaults, and each
 value is reduced to one canonical Python form (seed lists become tuples,
-tagged seed dicts are decoded through the distributed codec, γ vectors
+tagged seed dicts are decoded through ``runtime.codec``, γ vectors
 become 4-tuples of floats).  Two requests that mean the same experiment
 therefore canonicalize to the same dict regardless of key order or
 explicitly-spelled defaults.
@@ -28,7 +28,7 @@ from typing import Callable, Dict, Tuple
 
 from ..core.payoff import PayoffVector
 from ..crypto.prf import encode_seed
-from ..runtime.distributed.codec import (
+from ..runtime.codec import (
     CodecError,
     resolve_strategy,
     tag_value,
@@ -232,7 +232,7 @@ def build_task(canon: dict) -> ExecutionTask:
     """The ``estimate_utility`` batch a canonical request denotes.
 
     Resolves the protocol through the CLI registry and the strategy
-    through the distributed codec, so the task is *the same object
+    through ``runtime.codec``, so the task is *the same object
     graph* a ``repro estimate`` run would execute — which is what makes
     the job key's embedded ``task_fingerprint`` collide with the chunk
     cache's, deduping service jobs against CLI runs for free.

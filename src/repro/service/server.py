@@ -11,10 +11,10 @@ Tenancy is the ``X-Repro-Tenant`` header when present, else the
 client's address — good enough to keep one hot client from starving
 the rest without inventing an auth system.
 
-Binding follows the distributed worker's contract: ``port 0`` asks the
-OS for an ephemeral port, :meth:`ServiceServer.bind` returns the port
-actually bound, and :meth:`ServiceServer.announce` prints a single JSON
-line (``{"event": "listening", ...}``) so scripts and CI can scrape the
+Binding: ``port 0`` asks the OS for an ephemeral port,
+:meth:`ServiceServer.bind` returns the port actually bound, and
+:meth:`ServiceServer.announce` prints a single JSON line
+(``{"event": "listening", ...}``) so scripts and CI can scrape the
 address without racing to pre-pick a free port.  ``service.info``
 reports the same address over the API.
 """
@@ -147,7 +147,7 @@ class ServiceServer:
 
     def bind(self) -> int:
         """Bind the listening socket; return the actual port (port 0 →
-        whatever the OS granted, per the worker venue's convention)."""
+        whatever the OS granted)."""
         self._httpd = _Httpd((self.host, self.port), _Handler)
         self._httpd.service = self
         self.port = self._httpd.server_address[1]

@@ -112,36 +112,15 @@ class TestRuntimeFlags:
         assert '"backend"' in out
         assert '"serial_replays"' in out
         assert '"failed_attempts"' in out
-        assert '"worker_deaths"' in out
+        assert '"cancelled_chunks"' in out
 
-    def test_workers_flag_parses(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["--workers", "h1:9000,h2:9001", "attack", "dummy"]
-        )
-        assert args.workers == "h1:9000,h2:9001"
-        # Default: None (resolve_runner then consults REPRO_WORKERS).
-        assert parser.parse_args(["zoo"]).workers is None
-
-    def test_workers_flag_builds_distributed_runner(self):
-        from repro.runtime import DistributedRunner, resolve_runner
-
-        runner = resolve_runner(None, workers="h1:9000,h2:9001")
-        assert isinstance(runner, DistributedRunner)
-        assert runner.worker_addrs == [("h1", 9000), ("h2", 9001)]
-        assert runner.jobs == 2
-
-    def test_worker_subcommand_parses(self):
-        parser = build_parser()
-        args = parser.parse_args(["worker"])
-        assert args.command == "worker"
-        assert args.listen == "127.0.0.1:0"
-        assert not args.once
-        args = parser.parse_args(
-            ["worker", "--listen", "0.0.0.0:9100", "--once"]
-        )
-        assert args.listen == "0.0.0.0:9100"
-        assert args.once
+    def test_workers_flag_is_a_usage_error(self, capsys):
+        # No venue ships chunks off this host: the flag must be rejected,
+        # not accepted and ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(["--workers", "h:1", "attack", "dummy"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: repro")
 
 
 class TestJournalFlags:
@@ -174,13 +153,10 @@ class TestJournalFlags:
         for var, raw in [
             ("REPRO_JOBS", "many"),
             ("REPRO_RESUME", "maybe"),
-            ("REPRO_WORKERS", "host:99999"),
-            ("REPRO_HEARTBEAT_S", "soon"),
         ]:
             monkeypatch.setenv(var, raw)
             with pytest.raises(SystemExit, match=var):
-                main(["zoo"] if var != "REPRO_HEARTBEAT_S" else
-                     ["--workers", "127.0.0.1:9", "zoo"])
+                main(["zoo"])
             monkeypatch.delenv(var)
 
     def test_cli_journal_records_and_resumes(self, capsys, tmp_path):

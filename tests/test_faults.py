@@ -43,12 +43,10 @@ from repro.protocols import (
     OptNSfeProtocol,
 )
 from repro.runtime import (
-    DistributedRunner,
     ExecutionTask,
     ProcessPoolRunner,
     SerialRunner,
 )
-from repro.runtime.distributed import WorkerServer
 
 GAMMA = PayoffVector(0.0, 0.0, 1.0, 0.5)
 
@@ -686,43 +684,6 @@ class TestKeyboardInterrupt:
         assert (
             serial.last_stats.cancelled_chunks
             == pooled.last_stats.cancelled_chunks
-        )
-
-    def test_distributed_venue_matches_serial_cancellations(self):
-        """The coordinator's local-execution path (opaque tasks never ship
-        to workers) must account a Ctrl-C exactly like the serial venue:
-        the interrupted chunk and every planned-but-unrun span land in
-        the log as ``cancelled``, with the stats attached to the raise."""
-        import threading
-
-        def tasks():
-            return [
-                _InterruptingTask(50, boom_at=25),
-                _InterruptingTask(30, boom_at=10**9),
-            ]
-
-        serial = SerialRunner(chunk_size=10)
-        with pytest.raises(KeyboardInterrupt):
-            serial.run(tasks())
-
-        server = WorkerServer("127.0.0.1", 0)
-        port = server.bind()
-        thread = threading.Thread(
-            target=server.serve_forever, kwargs={"once": True}, daemon=True
-        )
-        thread.start()
-        try:
-            dist = DistributedRunner([("127.0.0.1", port)], chunk_size=10)
-            with pytest.raises(KeyboardInterrupt) as excinfo:
-                dist.run(tasks())
-        finally:
-            thread.join(timeout=5.0)
-        stats = dist.last_stats
-        assert excinfo.value.run_stats is stats
-        assert stats.backend == "distributed"
-        assert stats.cancelled_chunks > 0
-        assert (
-            stats.cancelled_chunks == serial.last_stats.cancelled_chunks
         )
 
 

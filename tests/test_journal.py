@@ -4,8 +4,6 @@ opaque-task exclusion, and the resolve_journal precedence/validation
 contract (``--journal``/``--resume`` vs ``REPRO_JOURNAL_DIR``/
 ``REPRO_RESUME``)."""
 
-import threading
-
 import pytest
 
 from repro.adversaries import strategy_space_for_protocol
@@ -17,7 +15,6 @@ from repro.runtime import (
     ENV_JOURNAL_DIR,
     ENV_RESUME,
     NO_FAULTS,
-    DistributedRunner,
     ExecutionTask,
     ProcessPoolRunner,
     RetryPolicy,
@@ -26,7 +23,6 @@ from repro.runtime import (
     resolve_journal,
 )
 from repro.runtime.chaos import payload_fingerprint
-from repro.runtime.distributed import WorkerServer
 from repro.runtime.journal import JOURNAL_SCHEMA_VERSION, _env_flag
 
 FAST = dict(backoff_s=0.01, backoff_multiplier=1.0)
@@ -130,32 +126,6 @@ class TestRecordResume:
         assert payload_fingerprint(resumed) == payload_fingerprint(baseline)
         stats = pool.last_stats
         assert stats.journal_replayed_chunks == stats.n_chunks
-
-    def test_distributed_resumes_a_serial_journal(self, tmp_path):
-        baseline = _serial().run(_tasks())
-        _serial(journal=RunJournal(tmp_path)).run(_tasks())
-
-        server = WorkerServer("127.0.0.1", 0)
-        port = server.bind()
-        thread = threading.Thread(
-            target=server.serve_forever, kwargs={"once": True}, daemon=True
-        )
-        thread.start()
-        try:
-            dist = DistributedRunner(
-                [("127.0.0.1", port)],
-                chunk_size=6,
-                retry=RetryPolicy(max_retries=2, **FAST),
-                fault=NO_FAULTS,
-                journal=RunJournal(tmp_path, resume=True),
-            )
-            resumed = dist.run(_tasks())
-        finally:
-            thread.join(timeout=5.0)
-        assert payload_fingerprint(resumed) == payload_fingerprint(baseline)
-        stats = dist.last_stats
-        assert stats.journal_replayed_chunks == stats.n_chunks
-        assert stats.executions == stats.requested
 
     def test_partial_journal_recomputes_only_the_gap(self, tmp_path):
         baseline = _serial().run(_tasks())

@@ -39,6 +39,7 @@ from repro.runtime import (
     plan_chunks,
     resolve_jobs,
     resolve_runner,
+    usable_cpus,
 )
 
 GAMMA = PayoffVector(0.0, 0.0, 1.0, 0.5)
@@ -368,10 +369,30 @@ class TestJobsResolution:
         assert isinstance(resolve_runner(None), SerialRunner)
 
     def test_zero_means_all_cpus(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert resolve_jobs(0) == usable_cpus()
+
+    def test_zero_counts_only_the_cpus_this_process_may_use(self, monkeypatch):
+        # Pinned to one CPU (``taskset -c 1``) on a multi-CPU machine,
+        # "all CPUs" must mean one worker, not os.cpu_count() of them.
         import os
 
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(0) == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_jobs(0) == 1
+        monkeypatch.setenv("REPRO_JOBS", "auto")
+        assert resolve_jobs(None) == 1
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        import os
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -388,10 +409,8 @@ class TestJobsResolution:
             resolve_jobs(None)
 
     def test_env_auto_means_all_cpus(self, monkeypatch):
-        import os
-
         monkeypatch.setenv("REPRO_JOBS", "auto")
-        assert resolve_jobs(None) == (os.cpu_count() or 1)
+        assert resolve_jobs(None) == usable_cpus()
 
 
 class TestRunStats:

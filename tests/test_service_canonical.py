@@ -21,7 +21,7 @@ from repro.functions import make_swap
 from repro.protocols import Opt2SfeProtocol
 from repro.runtime import ExecutionTask
 from repro.runtime.cache import ChunkCache
-from repro.runtime.distributed.codec import resolve_strategy, task_fingerprint
+from repro.runtime.codec import resolve_strategy, task_fingerprint
 from repro.service import canonicalize, job_key, job_key_canonical
 from repro.service.canonical import DEFAULT_GAMMA, METHOD_SCHEMAS
 

@@ -48,7 +48,6 @@ from repro.runtime import (
     plan_chunks,
     resolve_chunk_size,
 )
-from repro.runtime.distributed import DistributedRunner
 
 
 def _passive():
@@ -252,13 +251,12 @@ class TestCostSchedule:
 
     def test_plans_deterministic_and_venue_invariant(self):
         # The plan is a pure function of (n_runs, chunk_size): the
-        # serial, pool, and distributed venues must derive byte-identical
-        # span sets, or journal fingerprints could not replay across them.
+        # serial and pool venues must derive byte-identical span sets, or
+        # journal fingerprints could not replay across them.
         task = _hetero_tasks()[0]
         serial = SerialRunner()
         pool = ProcessPoolRunner(2, min_parallel_runs=0)
-        dist = DistributedRunner(["127.0.0.1:9"])
-        plans = {tuple(r._plan(task)) for r in (serial, pool, dist)}
+        plans = {tuple(r._plan(task)) for r in (serial, pool)}
         assert len(plans) == 1
         assert serial._plan(task) == serial._plan(task)
 
