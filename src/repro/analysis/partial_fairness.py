@@ -18,6 +18,14 @@ Executable renditions of the section's results:
   privacy simulator (which legitimately extracts x1 by substituting
   x2' = 1) and shows the corrupted view is perfectly simulatable, i.e. Π̃
   *is* private in the [18] sense despite leaking the input.
+
+Both Π̃ measurements run on a per-run kernel, :func:`_leaky_run`, instead
+of stepping the engine through the prologue and 160 reveal rounds: it
+draws, through the reference ``Rng`` fork tree and Π̃'s own ShareGen
+samplers, only the streams the events and the view summary read.  It is
+checked run for run against the engine with
+``LeakyInputExtractor`` (``tests/test_analysis_partial_fairness.py``,
+``TestLeakyKernel``).
 """
 
 from __future__ import annotations
@@ -26,13 +34,16 @@ from collections import Counter
 from typing import Callable, Mapping, Optional, Tuple
 
 from ..adversaries.gk_aborter import KnownOutputStopper, _GkStopperBase
-from ..adversaries.leaky import LeakyInputExtractor
 from ..core.events import FairnessEvent
 from ..crypto.prf import Rng
 from ..engine.execution import run_execution
-from ..functionalities.share_gen import open_sealed
+from ..functionalities.share_gen import _VALUE_MASK, GkShareGen
 from ..protocols.gordon_katz import GordonKatzProtocol
-from ..protocols.leaky_and import PROLOGUE_ROUNDS, LeakyAndProtocol
+from ..protocols.leaky_and import (
+    LEAK_PROBABILITY,
+    PROLOGUE_ROUNDS,
+    LeakyAndProtocol,
+)
 
 
 def statistical_distance(a: Mapping, b: Mapping) -> float:
@@ -180,6 +191,67 @@ def gk_e10_probability(
 
 
 # --------------------------------------------------------------------------
+# Π̃ against LeakyInputExtractor, one run at a time
+# --------------------------------------------------------------------------
+
+#: Π̃'s ShareGen template: the kernel's i* draw, fake samplers and rounds.
+_SHAREGEN = LeakyAndProtocol()._template
+
+#: The fork label the engine gives ShareGen's invocation: both parties
+#: call it in the first round after the prologue.
+_SHAREGEN_LABEL = f"{GkShareGen.name}@{PROLOGUE_ROUNDS}"
+
+
+def _leaky_run(rng: Rng, view: bool = False) -> tuple:
+    """One Π̃ run against ``LeakyInputExtractor``, from the streams it reads.
+
+    Returns ``(x1, leaked, p1_output, stream)``, equal to what the
+    environment gets from ``x1 = rng.fork("x1").randrange(2)`` and
+    ``run_execution(LeakyAndProtocol(), (x1, 0), extractor,
+    rng.fork("exec"))``: the extractor's ``extracted_input``, p1's output
+    value, and (only when ``view`` is set, else ``None``) the corrupted
+    p2's stream-b values in the order it opens them.
+
+    The engine's labelled forks depend only on their parent seed and
+    label, so the kernel draws just these:
+
+    * p1's leak coin, its first and only draw from ``party-0``, tossed in
+      round 1 on the extractor's deviating 1-bit;
+    * for the view, ShareGen's ``i_star`` and p2's ``fake-1-{i}`` values,
+      through the template's own ``_draw_i_star`` and ``fake_samplers``.
+
+    The extractor plays the Gordon–Katz stage honestly, so p1 sends and
+    opens all ``rounds`` reveals.  ShareGen truncates i* to at most
+    ``rounds``, so p1's last opened value, its output, is always the real
+    y₁; p2's stream is its fakes before i* and y₂ from i* on.
+    """
+    x1 = rng.fork("x1").randrange(2)
+    execution = rng.fork("exec")
+    coin = execution.fork("party-0").coin(LEAK_PROBABILITY)
+    leaked = x1 if coin else None
+    inputs = (x1, 0)
+    outputs = _SHAREGEN.func.outputs_for(inputs)
+    p1_output = outputs[0] & _VALUE_MASK
+    if not view:
+        return x1, leaked, p1_output, None
+    gk = execution.fork(_SHAREGEN_LABEL)
+    i_star = _SHAREGEN._draw_i_star(gk.fork("i_star"))
+    fake = _SHAREGEN.fake_samplers[1]
+    stream = [
+        fake(inputs, gk.fork(f"fake-1-{i}")) & _VALUE_MASK
+        for i in range(1, i_star)
+    ]
+    real = outputs[1] & _VALUE_MASK
+    stream.extend([real] * (_SHAREGEN.rounds - i_star + 1))
+    return x1, leaked, p1_output, tuple(stream)
+
+
+def _check_runs(n_runs: int) -> None:
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be at least 1, got {n_runs!r}")
+
+
+# --------------------------------------------------------------------------
 # Lemma 26: the Z1/Z2 distinguishers against Π̃
 # --------------------------------------------------------------------------
 
@@ -192,17 +264,12 @@ def leaky_distinguisher_probabilities(
     have it send the deviating 1-bit; Z1 outputs 1 when p1's input leaked
     correctly *and* z1 = 0, Z2 outputs 1 when any input bit leaked.
     """
-    protocol = LeakyAndProtocol()
+    _check_runs(n_runs)
     master = Rng(seed)
     z1_hits = 0
     z2_hits = 0
     for k in range(n_runs):
-        rng = master.fork(f"dist-{k}")
-        x1 = rng.fork("x1").randrange(2)
-        adversary = LeakyInputExtractor()
-        result = run_execution(protocol, (x1, 0), adversary, rng.fork("exec"))
-        z1_output = result.outputs[0].value
-        leaked = adversary.extracted_input
+        x1, leaked, z1_output, _ = _leaky_run(master.fork(f"dist-{k}"))
         if leaked is not None:
             z2_hits += 1
             if leaked == x1 and z1_output == 0:
@@ -228,22 +295,14 @@ def leaky_real_views(n_runs: int = 1000, seed=0) -> Counter:
     View summary = (x1, leaked-or-None, #stream values seen, stream
     constant-zero?), jointly with the environment's input choice.
     """
-    protocol = LeakyAndProtocol()
+    _check_runs(n_runs)
     master = Rng(seed)
     views = Counter()
     for k in range(n_runs):
-        rng = master.fork(f"view-{k}")
-        x1 = rng.fork("x1").randrange(2)
-        adversary = _ViewCollectingExtractor()
-        run_execution(protocol, (x1, 0), adversary, rng.fork("exec"))
-        views[
-            (
-                x1,
-                adversary.extracted_input,
-                len(adversary.stream_values),
-                all(v == 0 for v in adversary.stream_values),
-            )
-        ] += 1
+        x1, leaked, _, stream = _leaky_run(
+            master.fork(f"view-{k}"), view=True
+        )
+        views[(x1, leaked, len(stream), all(v == 0 for v in stream))] += 1
     return views
 
 
@@ -255,6 +314,7 @@ def leaky_simulated_views(n_runs: int = 1000, seed=0) -> Counter:
     the (all-zero, since the real second stage runs on x2 = 0) stream with
     a freshly drawn i*.
     """
+    _check_runs(n_runs)
     protocol = LeakyAndProtocol()
     template = protocol.build_functionalities(Rng(b"probe"))["F_sharegen_gk"]
     master = Rng(seed)
@@ -275,40 +335,3 @@ def leaky_privacy_distance(n_runs: int = 1000, seed=0) -> float:
     real = leaky_real_views(n_runs, seed)
     simulated = leaky_simulated_views(n_runs, (seed, "sim"))
     return statistical_distance(real, simulated)
-
-
-class _ViewCollectingExtractor(LeakyInputExtractor):
-    """LeakyInputExtractor that also opens and records the GK stream.
-
-    The peek happens in :meth:`should_abort` — i.e. *after* the corrupted
-    machine was stepped this round, so its ShareGen payload is available
-    from reveal index 0 on (rushing shows each token one round before the
-    machine banks it).
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.stream_values = []
-
-    def should_abort(self, iface, contexts) -> bool:
-        runner = self._runners.get(1)
-        payload = (
-            getattr(runner.machine, "payload", None) if runner else None
-        )
-        if payload is not None:
-            reveal_index = iface.round - PROLOGUE_ROUNDS - 1
-            if 0 <= reveal_index < payload.rounds:
-                for message in iface.rushing_messages():
-                    if message.receiver != 1:
-                        continue
-                    try:
-                        value = open_sealed(
-                            message.payload,
-                            payload.incoming_pads[reveal_index],
-                            payload.mac_key,
-                            "b",
-                        )
-                    except ValueError:
-                        continue
-                    self.stream_values.append(value)
-        return False

@@ -1,8 +1,14 @@
 """Partial-fairness analysis tests (Theorem 23, Lemmas 25-27)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.adversaries import FixedRoundStopper, KnownOutputStopper
+from repro.adversaries import (
+    FixedRoundStopper,
+    KnownOutputStopper,
+    LeakyInputExtractor,
+)
 from repro.analysis import (
     gk_e10_probability,
     gk_ideal_outcomes,
@@ -15,8 +21,13 @@ from repro.analysis import (
     leaky_simulated_views,
     statistical_distance,
 )
+from repro.analysis.partial_fairness import _leaky_run
+from repro.crypto.prf import Rng
+from repro.engine.execution import run_execution
+from repro.functionalities.share_gen import open_sealed
 from repro.functions import make_and
-from repro.protocols import GordonKatzProtocol
+from repro.protocols import GordonKatzProtocol, LeakyAndProtocol
+from repro.protocols.leaky_and import PROLOGUE_ROUNDS
 
 
 class TestStatisticalDistance:
@@ -109,3 +120,141 @@ class TestLeakySeparation:
             assert leaked in (None, x1)
             assert all_zero
             assert count > 0
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            leaky_distinguisher_probabilities,
+            leaky_real_views,
+            leaky_simulated_views,
+            leaky_privacy_distance,
+        ],
+    )
+    @pytest.mark.parametrize("n_runs", [0, -3])
+    def test_measures_need_a_run(self, measure, n_runs):
+        with pytest.raises(ValueError, match="n_runs"):
+            measure(n_runs=n_runs, seed=0)
+
+
+# --------------------------------------------------------------------------
+# The Π̃ kernel against the engine
+# --------------------------------------------------------------------------
+
+class _ViewCollectingExtractor(LeakyInputExtractor):
+    """LeakyInputExtractor that also opens and records the GK stream.
+
+    The peek happens in :meth:`should_abort` — i.e. *after* the corrupted
+    machine was stepped this round, so its ShareGen payload is available
+    from reveal index 0 on (rushing shows each token one round before the
+    machine banks it).
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.stream_values = []
+
+    def should_abort(self, iface, contexts) -> bool:
+        runner = self._runners.get(1)
+        payload = (
+            getattr(runner.machine, "payload", None) if runner else None
+        )
+        if payload is not None:
+            reveal_index = iface.round - PROLOGUE_ROUNDS - 1
+            if 0 <= reveal_index < payload.rounds:
+                for message in iface.rushing_messages():
+                    if message.receiver != 1:
+                        continue
+                    try:
+                        value = open_sealed(
+                            message.payload,
+                            payload.incoming_pads[reveal_index],
+                            payload.mac_key,
+                            "b",
+                        )
+                    except ValueError:
+                        continue
+                    self.stream_values.append(value)
+        return False
+
+
+def _engine_run(rng):
+    """The reference for ``_leaky_run(rng, view=True)``: a full execution."""
+    x1 = rng.fork("x1").randrange(2)
+    adversary = _ViewCollectingExtractor()
+    result = run_execution(
+        LeakyAndProtocol(), (x1, 0), adversary, rng.fork("exec")
+    )
+    return (
+        x1,
+        adversary.extracted_input,
+        result.outputs[0].value,
+        tuple(adversary.stream_values),
+    )
+
+
+def _engine_distinguisher(n_runs, seed):
+    master = Rng(seed)
+    z1_hits = z2_hits = 0
+    for k in range(n_runs):
+        rng = master.fork(f"dist-{k}")
+        x1 = rng.fork("x1").randrange(2)
+        adversary = LeakyInputExtractor()
+        result = run_execution(
+            LeakyAndProtocol(), (x1, 0), adversary, rng.fork("exec")
+        )
+        leaked = adversary.extracted_input
+        if leaked is not None:
+            z2_hits += 1
+            if leaked == x1 and result.outputs[0].value == 0:
+                z1_hits += 1
+    return z1_hits / n_runs, z2_hits / n_runs
+
+
+def _engine_real_views(n_runs, seed):
+    master = Rng(seed)
+    views = Counter()
+    for k in range(n_runs):
+        x1, leaked, _, stream = _engine_run(master.fork(f"view-{k}"))
+        views[(x1, leaked, len(stream), all(v == 0 for v in stream))] += 1
+    return views
+
+
+def _seeds(n):
+    """Seeds of every kind ``Rng`` takes: ints, strings and tuples."""
+    kinds = (lambda k: k, lambda k: f"leaky-{k}", lambda k: ("leaky", k))
+    return [kinds[k % 3](k) for k in range(n)]
+
+
+class TestLeakyKernel:
+    """``_leaky_run`` reproduces the engine exactly, run for run."""
+
+    def test_runs_match_engine(self):
+        leaks = set()
+        for seed in _seeds(200):
+            expected = _engine_run(Rng(seed))
+            assert _leaky_run(Rng(seed), view=True) == expected, seed
+            assert _leaky_run(Rng(seed)) == expected[:3] + (None,), seed
+            leaks.add(expected[1] is not None)
+        # Both branches of the leak coin were exercised.
+        assert leaks == {True, False}
+
+    @pytest.mark.parametrize("n_runs, seed", [(1, 0), (9, "a"), (24, (3,))])
+    def test_measures_match_engine_loops(self, n_runs, seed):
+        assert leaky_distinguisher_probabilities(
+            n_runs, seed
+        ) == _engine_distinguisher(n_runs, seed)
+        assert leaky_real_views(n_runs, seed) == _engine_real_views(
+            n_runs, seed
+        )
+
+    def test_engine_fault_settings_are_ignored(self, monkeypatch):
+        clean = (
+            leaky_distinguisher_probabilities(40, 5),
+            leaky_real_views(40, 5),
+        )
+        monkeypatch.setenv("REPRO_CHANNEL_LOSS", "0.5")
+        monkeypatch.setenv("REPRO_FAULT_RATE", "0.5")
+        assert (
+            leaky_distinguisher_probabilities(40, 5),
+            leaky_real_views(40, 5),
+        ) == clean
