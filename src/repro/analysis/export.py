@@ -142,7 +142,6 @@ def run_stats_to_dict(stats: RunStats) -> dict:
         "journal_replayed_chunks": stats.journal_replayed_chunks,
         "journal_appended_chunks": stats.journal_appended_chunks,
         "journal_corrupt_records": stats.journal_corrupt_records,
-        "journal_stale_records": stats.journal_stale_records,
         "cache_corrupt_entries": stats.cache_corrupt_entries,
         "cache_write_errors": stats.cache_write_errors,
         "degraded": stats.degraded,

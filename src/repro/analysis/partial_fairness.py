@@ -194,8 +194,10 @@ def gk_e10_probability(
 # Π̃ against LeakyInputExtractor, one run at a time
 # --------------------------------------------------------------------------
 
-#: Π̃'s ShareGen template: the kernel's i* draw, fake samplers and rounds.
-_SHAREGEN = LeakyAndProtocol()._template
+#: One Π̃ instance, read-only: its reveal rounds and its ShareGen
+#: template (the kernel's i* draw, fake samplers and rounds).
+_LEAKY = LeakyAndProtocol()
+_SHAREGEN = _LEAKY._template
 
 #: The fork label the engine gives ShareGen's invocation: both parties
 #: call it in the first round after the prologue.
@@ -310,22 +312,20 @@ def leaky_simulated_views(n_runs: int = 1000, seed=0) -> Counter:
     """The Lemma-27 privacy simulator's view distribution.
 
     The simulator substitutes x2' = 1, legitimately obtaining
-    x1 ∧ 1 = x1 from the functionality, then reproduces the leak coin and
-    the (all-zero, since the real second stage runs on x2 = 0) stream with
-    a freshly drawn i*.
+    x1 ∧ 1 = x1 from the functionality, then reproduces the leak coin
+    (heads with ``LEAK_PROBABILITY``) and the stream.  With x2 = 0 every
+    stream value, fake or real, is 0, and the honest p1 reveals all
+    ``reveal_rounds`` of them, so the stream's summary does not depend on
+    i* and the simulator draws none.
     """
     _check_runs(n_runs)
-    protocol = LeakyAndProtocol()
-    template = protocol.build_functionalities(Rng(b"probe"))["F_sharegen_gk"]
+    rounds = _LEAKY.reveal_rounds
     master = Rng(seed)
     views = Counter()
     for k in range(n_runs):
         rng = master.fork(f"sim-{k}")
         x1 = rng.fork("x1").randrange(2)  # obtained via x2' = 1 from F
-        leaked = x1 if rng.fork("coin").coin(0.25) else None
-        # Stream: with x2 = 0 every value (fake or real) is 0, and the
-        # honest p1 reveals the full schedule.
-        rounds = template.rounds
+        leaked = x1 if rng.fork("coin").coin(LEAK_PROBABILITY) else None
         views[(x1, leaked, rounds, True)] += 1
     return views
 

@@ -35,10 +35,10 @@ re-running a sweep with the same protocol, strategies, seed, and fault
 config replays stored chunk partials bit-identically instead of
 recomputing them.  ``--journal DIR``
 (or ``REPRO_JOURNAL_DIR``) enables the crash-safe run ledger: every
-completed chunk partial is durably appended, and ``--resume`` (or
-``REPRO_RESUME=1``) replays the journaled spans of an interrupted run
-instead of recomputing them — the resumed artifact is byte-identical to
-an uninterrupted one.  ``--backend``
+completed chunk partial is durably stored, and every run replays the
+spans ``DIR`` already holds instead of recomputing them, so rerunning an
+interrupted command with the same ``--journal`` resumes it — the result
+is byte-identical to an uninterrupted run.  ``--backend``
 (or ``REPRO_BACKEND``) selects the execution engine: ``auto`` (default)
 hands the chunks of an eligible (protocol, strategy) combination to its
 vectorized chunk kernel and runs everything else on the reference state
@@ -208,15 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="crash-safe run-ledger directory (default: $REPRO_JOURNAL_DIR "
-        "or no journal); every completed chunk partial is durably "
-        "appended so an interrupted run can be resumed",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay journaled chunk partials from --journal instead of "
-        "recomputing them (requires --journal or $REPRO_JOURNAL_DIR); "
-        "the resumed result is byte-identical to an uninterrupted run",
+        "or no journal); every completed chunk partial is durably stored, "
+        "and chunks already stored there are replayed, so rerunning an "
+        "interrupted command with the same directory resumes it",
     )
     parser.add_argument(
         "--backend",
@@ -366,12 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=argparse.SUPPRESS,
     )
     verify.add_argument(
-        "--resume",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    verify.add_argument(
         "--chunk-size",
         type=int,
         default=argparse.SUPPRESS,
@@ -422,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--process-trials",
         action="store_true",
         help="also kill a real 'repro verify' coordinator (SIGKILL and "
-        "SIGINT), corrupt a journal record, resume, and require a "
+        "SIGINT), corrupt a journal entry, rerun, and require a "
         "byte-identical deterministic payload",
     )
     chaos.add_argument(
@@ -639,8 +627,9 @@ def cmd_profile(args, registry) -> str:
     """cProfile a small serial batch of the protocol's strategy sweep.
 
     Always runs in-process (a pool would hide worker time from the
-    profiler) and without any chunk cache (a cache hit would profile
-    the entry decoder instead of the protocol).
+    profiler) and without any chunk store, whatever ``--cache`` or
+    ``REPRO_CACHE_DIR`` say (a cache hit would profile the entry decoder
+    instead of the protocol).
     """
     import cProfile
     import io
@@ -656,7 +645,7 @@ def cmd_profile(args, registry) -> str:
         )
         for factory in space
     ]
-    runner = SerialRunner(cache=None, backend=args.backend)
+    runner = SerialRunner(backend=args.backend)
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -885,23 +874,21 @@ COMMANDS = {
 def _build_runner(args):
     """One runner for the whole command, so ``--stats`` sees every batch."""
     # Every knob parsed here (REPRO_CHUNK_TIMEOUT, REPRO_JOBS,
-    # REPRO_RESUME, --resume without a directory, ...) raises ValueError
-    # naming itself; at the CLI surface that is a usage error, reported
-    # like argparse's own.
+    # REPRO_CHUNK_SIZE, ...) raises ValueError naming itself; at the CLI
+    # surface that is a usage error, reported like argparse's own.
     try:
         retry = RetryPolicy.from_env()
         if args.max_retries is not None:
             retry = replace(retry, max_retries=max(0, args.max_retries))
         if args.chunk_timeout is not None:
             retry = replace(retry, chunk_timeout_s=args.chunk_timeout)
-        journal = resolve_journal(args.journal, resume=args.resume)
         return resolve_runner(
             args.jobs,
             chunk_size=args.chunk_size,
             retry=retry,
             cache=resolve_cache(args.cache),
             backend=args.backend,
-            journal=journal,
+            journal=resolve_journal(args.journal),
         )
     except ValueError as exc:
         raise SystemExit(f"repro: {exc}")

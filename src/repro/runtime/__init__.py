@@ -50,13 +50,7 @@ from .runner import (
     resolve_runner,
     usable_cpus,
 )
-from .journal import (
-    ENV_JOURNAL_DIR,
-    ENV_RESUME,
-    JOURNAL_SCHEMA_VERSION,
-    RunJournal,
-    resolve_journal,
-)
+from .journal import ENV_JOURNAL_DIR, RunJournal, resolve_journal
 from .stats import ChunkStats, MeasuredCounts, RunStats
 from .tasks import (
     ExecutionTask,
@@ -114,8 +108,6 @@ __all__ = [
     "RunJournal",
     "resolve_journal",
     "ENV_JOURNAL_DIR",
-    "ENV_RESUME",
-    "JOURNAL_SCHEMA_VERSION",
     "BACKENDS",
     "ENV_BACKEND",
     "BackendError",

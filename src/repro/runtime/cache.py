@@ -12,16 +12,21 @@ different soundness arguments:
   accelerate (the low layers must not import the runtime); this module
   only *aggregates* their hit/miss counters into the batch statistics.
 
-* **Persistent chunk-result cache** (:class:`ChunkCache`) — an opt-in
-  on-disk store of chunk partials keyed by a canonical fingerprint of
-  (protocol, strategy, input sampler, fault config, master seed, chunk
-  span, schema version), built on the same injective
-  :func:`~repro.crypto.prf.encode_seed` encoder that derives run seeds.
-  Sound because PR 1/2 made every ``(task, seed, span)`` triple
-  bit-identically replayable: a cached partial *is* the value the chunk
-  would compute, so merge order and early-stop decisions are unchanged.
-  Strictly opt-in: a cache exists only when ``--cache`` or
-  ``REPRO_CACHE_DIR`` names a directory — there is no ambient default.
+* **Persistent chunk stores** — on-disk stores of chunk partials keyed
+  by a canonical fingerprint of (protocol, strategy, input sampler,
+  fault config, master seed, chunk span, schema version), built on the
+  same injective :func:`~repro.crypto.prf.encode_seed` encoder that
+  derives run seeds.  Sound because every ``(task, seed, span)`` triple
+  is bit-identically replayable: a stored partial *is* the value the
+  chunk would compute, so merge order and early-stop decisions are
+  unchanged.  Two classes share this module's key, entry format,
+  directory layout and quarantine rule: :class:`ChunkCache` (unsynced,
+  consulted inside the worker that runs the chunk) and
+  :class:`~repro.runtime.journal.RunJournal` (fsynced, consulted by the
+  parent).  Both are opt-in: a store exists only when a flag or its
+  environment variable (``--cache``/``REPRO_CACHE_DIR``,
+  ``--journal``/``REPRO_JOURNAL_DIR``) names a directory, and only
+  :func:`~repro.runtime.runner.resolve_runner` reads those variables.
 
 What may never be cached: anything downstream of an ``Rng`` draw inside a
 run (adversary instances, dealt shares, transcripts in flight) keyed by
@@ -53,22 +58,127 @@ from .codec import WireError, decode_partial, encode_partial
 #: Environment variable naming the chunk-cache directory (opt-in).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
-#: Bumped whenever the meaning of a cached partial changes (event
+#: Bumped whenever the meaning of a stored partial changes (event
 #: vocabulary, classifier semantics, chunk planning) **or** the on-disk
-#: entry format changes: old entries then miss instead of poisoning new
-#: runs.  Version 2 added the per-entry integrity header below; version 3
-#: replaced pickled payloads with the JSON partial codec.
-CACHE_SCHEMA_VERSION = 3
+#: entry format changes.  The version is part of every key, so old
+#: entries then miss instead of poisoning new runs.  Version 2 added the
+#: integrity header, version 3 the JSON partial codec, version 4 the key
+#: inside the checksummed payload and one format for cache and journal.
+CACHE_SCHEMA_VERSION = 4
 
-#: On-disk entry layout since schema v3: a 4-byte magic, the SHA-256 of
-#: the payload, then the payload itself — the partial in the tagged-JSON
-#: form of :func:`~repro.runtime.codec.encode_partial`, the codec the
-#: run journal uses too.  The digest turns a torn write or a flipped bit
-#: into a *detected* corruption (quarantined and counted) instead of an
-#: undifferentiated miss, and the codec means a hostile entry can at
-#: worst decode to wrong counts, never execute code.
-_ENTRY_MAGIC = b"RCC3"
+#: Entry layout: a 4-byte magic, the SHA-256 of the payload, then the
+#: payload: ``{"key": ..., "partial": ...}`` as compact JSON, the partial
+#: in the tagged form of :func:`~repro.runtime.codec.encode_partial`.
+#: The digest turns a torn write or a flipped bit into a *detected*
+#: corruption instead of an undifferentiated miss; the embedded key
+#: means an entry copied onto another key's path never serves that key;
+#: and the codec means a hostile entry can at worst decode to wrong
+#: counts, never execute code.
+_ENTRY_MAGIC = b"RCS4"
 _DIGEST_BYTES = 32
+_HEADER_BYTES = len(_ENTRY_MAGIC) + _DIGEST_BYTES
+
+
+def chunk_key(task, start: int, stop: int) -> Optional[str]:
+    """Content key of one chunk, or ``None`` when the task is opaque."""
+    material = getattr(task, "cache_material", None)
+    material = material() if material is not None else None
+    if material is None:
+        return None
+    return encode_seed(
+        ("chunk", CACHE_SCHEMA_VERSION, material, start, stop)
+    ).hex()
+
+
+def entry_path(root: Path, key: str) -> Path:
+    """Where the entry for ``key`` lives under a store's ``root``."""
+    return root / key[:2] / f"{key}.json"
+
+
+def count_entries(root: Path) -> int:
+    """Number of live entries under ``root`` (walks the directory)."""
+    return sum(1 for _ in root.glob("*/*.json"))
+
+
+def _quarantine(path: Path) -> None:
+    """Rename a corrupt entry aside so it cannot poison the next lookup."""
+    try:
+        os.replace(path, path.with_suffix(".corrupt"))
+    except OSError:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+
+
+def read_entry(root: Path, key: str) -> Tuple[str, object]:
+    """``("hit", partial)``, ``("miss", None)`` or ``("corrupt", None)``.
+
+    A missing or unreadable file is a miss.  An entry with the wrong
+    magic, a short header, a checksum mismatch, a payload naming another
+    key, or a payload the codec rejects is quarantined and reported as
+    corrupt.
+    """
+    path = entry_path(root, key)
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return "miss", None
+    try:
+        if data[: len(_ENTRY_MAGIC)] != _ENTRY_MAGIC:
+            raise ValueError("bad magic")
+        payload = data[_HEADER_BYTES:]
+        digest = data[len(_ENTRY_MAGIC):_HEADER_BYTES]
+        if hashlib.sha256(payload).digest() != digest:
+            raise ValueError("checksum mismatch")
+        body = json.loads(payload)
+        if body["key"] != key:
+            raise ValueError("misfiled entry")
+        partial = decode_partial(body["partial"])
+    except Exception:
+        _quarantine(path)
+        return "corrupt", None
+    return "hit", partial
+
+
+def write_entry(root: Path, key: str, partial, durable: bool = False) -> bool:
+    """Atomically persist one partial; ``False`` when it could not be.
+
+    Writes a temp file beside the entry and ``os.replace``s it into
+    place, so concurrent writers and a crash mid-write leave at worst a
+    stray ``.tmp`` file, never a half-written entry.  ``durable`` adds an
+    ``fsync`` before the rename.  A partial the codec cannot encode and a
+    failed write both return ``False``.
+    """
+    try:
+        encoded = encode_partial(partial)
+    except WireError:
+        return False
+    payload = json.dumps(
+        {"key": key, "partial": encoded}, separators=(",", ":")
+    ).encode("utf-8")
+    path = entry_path(root, key)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(
+                    _ENTRY_MAGIC + hashlib.sha256(payload).digest() + payload
+                )
+                if durable:
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError:
+        return False
+    return True
 
 
 class PhaseClock:
@@ -149,17 +259,12 @@ def faults_fingerprint(faults) -> str:
 
 
 class ChunkCache:
-    """Content-addressed on-disk store of chunk partials.
+    """Content-addressed on-disk store of chunk partials, best-effort.
 
-    Entries are JSON-encoded mergeable partials (behind a magic +
-    SHA-256 integrity header, see :data:`_ENTRY_MAGIC`) under
-    ``<root>/<key[:2]>/<key>.json`` where ``key`` is the hex digest of
-    the task's canonical fingerprint plus the chunk span and schema
-    version.  Lookups and stores are best-effort: an unreadable entry is
-    a miss, a *corrupt* entry (bad magic, checksum mismatch, or a
-    payload the codec rejects) is a quarantined miss counted in
-    ``counters["corrupt"]``, and a failed write — or a partial the codec
-    cannot encode — is counted in ``counters["write_errors"]``: the
+    Entries use the module's shared key, format and layout.  An
+    unreadable entry is a miss, a corrupt one a quarantined miss counted
+    in ``counters["corrupt"]``, and a failed write (or a partial the
+    codec cannot encode) is counted in ``counters["write_errors"]``: the
     cache can make a sweep faster but can never make it fail or change
     its result.  The measured partials are payoff-independent, so
     entries are shared across payoff vectors soundly.
@@ -181,114 +286,26 @@ class ChunkCache:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ChunkCache(root={str(self.root)!r})"
 
-    @classmethod
-    def from_env(cls) -> Optional["ChunkCache"]:
-        """Cache implied by ``REPRO_CACHE_DIR``; ``None`` when unset."""
-        raw = os.environ.get(ENV_CACHE_DIR, "").strip()
-        if not raw:
-            return None
-        return cls(raw)
-
-    # -- keys ---------------------------------------------------------------
-    def key_for(self, task, start: int, stop: int) -> Optional[str]:
-        """Fingerprint of one chunk, or ``None`` when the task is opaque."""
-        material = getattr(task, "cache_material", None)
-        if material is None:
-            return None
-        material = material()
-        if material is None:
-            return None
-        return encode_seed(
-            ("chunk-cache", CACHE_SCHEMA_VERSION, material, start, stop)
-        ).hex()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    # -- access -------------------------------------------------------------
     def fetch(self, key: str) -> Tuple[bool, object]:
-        """``(True, partial)`` on a hit, ``(False, None)`` otherwise.
-
-        An entry that fails its integrity check — wrong magic, short
-        header, checksum mismatch, or a payload behind a *valid* checksum
-        that is not a partial in the JSON codec (a schema bug or a
-        foreign writer, not bit rot, but equally unusable) — is
-        quarantined (renamed aside so it cannot poison the next lookup
-        either) and counted as both corrupt and a miss.
-        """
-        path = self._path(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            # Missing or unreadable entry: an ordinary miss.
-            ChunkCache.counters["misses"] += 1
-            return False, None
-        try:
-            if data[: len(_ENTRY_MAGIC)] != _ENTRY_MAGIC:
-                raise ValueError("bad magic")
-            header_len = len(_ENTRY_MAGIC) + _DIGEST_BYTES
-            digest = data[len(_ENTRY_MAGIC):header_len]
-            payload = data[header_len:]
-            if len(digest) != _DIGEST_BYTES:
-                raise ValueError("truncated header")
-            if hashlib.sha256(payload).digest() != digest:
-                raise ValueError("checksum mismatch")
-            value = decode_partial(json.loads(payload))
-        except Exception:
+        """``(True, partial)`` on a hit, ``(False, None)`` otherwise."""
+        outcome, partial = read_entry(self.root, key)
+        if outcome == "corrupt":
             ChunkCache.counters["corrupt"] += 1
-            ChunkCache.counters["misses"] += 1
-            self._quarantine(path)
-            return False, None
-        ChunkCache.counters["hits"] += 1
-        return True, value
-
-    @staticmethod
-    def _quarantine(path: Path) -> None:
-        try:
-            os.replace(path, path.with_suffix(".corrupt"))
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        hit = outcome == "hit"
+        ChunkCache.counters["hits" if hit else "misses"] += 1
+        return hit, partial
 
     def store(self, key: str, value) -> None:
         """Atomically persist one partial (best-effort, checksummed)."""
-        try:
-            encoded = encode_partial(value)
-        except WireError:
-            ChunkCache.counters["write_errors"] += 1
-            return
-        payload = json.dumps(encoded, separators=(",", ":")).encode("utf-8")
-        path = self._path(key)
-        blob = _ENTRY_MAGIC + hashlib.sha256(payload).digest() + payload
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(path.parent), suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            ChunkCache.counters["write_errors"] += 1
-            return
-        ChunkCache.counters["stores"] += 1
+        stored = write_entry(self.root, key, value)
+        ChunkCache.counters["stores" if stored else "write_errors"] += 1
 
     def __len__(self) -> int:
-        """Number of stored entries (walks the directory)."""
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return count_entries(self.root)
 
 
 def resolve_cache(path=None) -> Optional[ChunkCache]:
     """Explicit path > ``REPRO_CACHE_DIR`` > no cache."""
-    if path is not None:
-        return ChunkCache(path)
-    return ChunkCache.from_env()
+    if path is None:
+        path = os.environ.get(ENV_CACHE_DIR, "").strip() or None
+    return ChunkCache(path) if path is not None else None

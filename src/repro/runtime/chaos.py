@@ -17,8 +17,8 @@ injected:
   match the injected schedule (exactly on the serial venue, where the
   fault pattern is a pure function the harness can evaluate itself; as
   lower bounds on venues with nondeterministic scheduling);
-* **ledger accounting** — resumed runs replay journaled spans, corrupted
-  journal records and cache entries surface in the corruption counters.
+* **ledger accounting** — reruns replay journaled spans, corrupted
+  journal entries and cache entries surface in the corruption counters.
 
 Every random choice (venue, dimension subset, fault rate, interrupt
 point, which byte to corrupt) derives from ``Rng((seed, label, index))``,
@@ -30,9 +30,9 @@ Dimensions
 ``chunk-faults``        deterministic injected chunk failures (``raise``)
 ``engine-faults``       unreliable channels / party crashes inside runs
 ``worker-kill``         injected faults become process kills (``exit``)
-``interrupt-resume``    KeyboardInterrupt mid-batch, then ``--resume``
+``interrupt-resume``    KeyboardInterrupt mid-batch, then a rerun
 ``cache-corruption``    a warm chunk-cache entry gets a byte flipped
-``journal-corruption``  a journal record gets a byte flipped before resume
+``journal-corruption``  a journal entry gets a byte flipped before a rerun
 
 ``interrupt-resume`` is mutually exclusive with the two corruption
 dimensions: those pre-populate the very store whose replay would swallow
@@ -41,10 +41,10 @@ so the boom chunk would never run).
 
 Process-level trials (:func:`run_process_trials`) go one step further
 and exercise the *coordinator* process itself: a ``repro verify`` child
-is SIGKILLed (and separately SIGINTed) mid-batch, one journal record is
-corrupted, and the relaunched ``--resume`` run must produce a
-byte-identical deterministic payload while counting the replayed and
-quarantined records.
+is SIGKILLed (and separately SIGINTed) mid-batch, one journal entry is
+corrupted, and the relaunched run with the same ``--journal`` must
+produce a byte-identical deterministic payload while counting the
+replayed and quarantined entries.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ DIMENSIONS = (
     "journal-corruption",
 )
 
-#: Dimensions that pre-populate the journal/cache a resumed run reads —
+#: Dimensions that pre-populate the journal/cache the main phase reads —
 #: incompatible with ``interrupt-resume`` (see module docstring).
 _PREPOPULATING = ("cache-corruption", "journal-corruption")
 
@@ -98,7 +98,6 @@ _SCRUBBED_ENV = (
     "REPRO_FAULT_SEED",
     "REPRO_CACHE_DIR",
     "REPRO_JOURNAL_DIR",
-    "REPRO_RESUME",
     "REPRO_JOBS",
     "REPRO_MAX_RETRIES",
     "REPRO_CHUNK_TIMEOUT",
@@ -435,23 +434,12 @@ class _Campaign:
         task content, so they get their own baseline)."""
         key = bool(engine_faults)
         if key not in self._baselines:
-            runner = self._isolated(
-                SerialRunner(chunk_size=self.chunk_size, retry=_FAST_RETRY,
-                             fault=NO_FAULTS)
-            )
+            runner = SerialRunner(chunk_size=self.chunk_size,
+                                  retry=_FAST_RETRY, fault=NO_FAULTS)
             self._baselines[key] = payload_fingerprint(
                 runner.run(self.tasks(engine_faults))
             )
         return self._baselines[key]
-
-    @staticmethod
-    def _isolated(runner):
-        # BatchRunner consults REPRO_CACHE_DIR / REPRO_JOURNAL_DIR when
-        # not given explicit instances; a baseline must not inherit
-        # ambient stores.
-        runner.cache = None
-        runner.journal = None
-        return runner
 
     def venue_runner(self, spec: TrialSpec, fault, journal, cache):
         """A runner on the trial's venue with exactly the given stores."""
@@ -460,24 +448,19 @@ class _Campaign:
             retry=_FAST_RETRY,
             fault=fault if fault is not None else NO_FAULTS,
             journal=journal,
+            cache=cache,
         )
         if spec.venue == "serial":
-            runner = SerialRunner(**kwargs)
-        else:
-            runner = ProcessPoolRunner(2, min_parallel_runs=0, **kwargs)
-        runner.cache = cache
-        return runner
+            return SerialRunner(**kwargs)
+        return ProcessPoolRunner(2, min_parallel_runs=0, **kwargs)
 
 
 def _serial_prepass(campaign: _Campaign, engine: bool, journal=None, cache=None):
     """Quiet serial run used to pre-populate a journal or cache."""
     runner = SerialRunner(
         chunk_size=campaign.chunk_size, retry=_FAST_RETRY, fault=NO_FAULTS,
-        journal=journal,
+        journal=journal, cache=cache,
     )
-    runner.cache = cache
-    if journal is None:
-        runner.journal = None
     runner.run(campaign.tasks(engine))
     return runner.last_stats
 
@@ -496,7 +479,8 @@ def run_trial(spec: TrialSpec, campaign: _Campaign) -> TrialResult:
     baseline = campaign.baseline(engine)
     threads_before = threading.active_count()
     phase_stats = []
-    resume = False
+    # Set when a pre-phase left journal entries the main phase must replay.
+    journaled = False
 
     # --- pre-phases: populate and damage the stores under test ------------
     if use_cache:
@@ -510,13 +494,13 @@ def run_trial(spec: TrialSpec, campaign: _Campaign) -> TrialResult:
 
     if "journal-corruption" in spec.dims:
         _serial_prepass(campaign, engine, journal=RunJournal(journal_dir))
-        records = sorted((journal_dir / "records").glob("*.json"))
+        records = sorted(journal_dir.glob("*/*.json"))
         if not records:
-            failures.append("journal seeding run appended no records")
+            failures.append("journal seeding run stored no entries")
         else:
             _flip_byte(records[rng.randrange(len(records))])
             observed["journal_records"] = len(records)
-        resume = True
+        journaled = True
 
     if "interrupt-resume" in spec.dims:
         spans = plan_chunks(campaign.trial_runs, campaign.chunk_size)
@@ -535,14 +519,13 @@ def run_trial(spec: TrialSpec, campaign: _Campaign) -> TrialResult:
             if stats is not None:
                 phase_stats.append(stats)
                 observed["interrupt_cancelled"] = stats.cancelled_chunks
-        resume = True
+        journaled = True
 
     # --- main phase --------------------------------------------------------
     values = None
     stats = None
-    journal = RunJournal(journal_dir, resume=resume)
     cache = ChunkCache(cache_dir) if use_cache else None
-    runner = campaign.venue_runner(spec, fault, journal, cache)
+    runner = campaign.venue_runner(spec, fault, RunJournal(journal_dir), cache)
     try:
         values = runner.run(campaign.tasks(engine))
     except Exception as exc:
@@ -609,9 +592,9 @@ def run_trial(spec: TrialSpec, campaign: _Campaign) -> TrialResult:
 
     observed["journal_replayed"] = across_phases("journal_replayed_chunks")
     observed["journal_appended"] = across_phases("journal_appended_chunks")
-    if resume and values is not None:
+    if journaled and values is not None:
         if stats is not None and stats.journal_replayed_chunks < 1:
-            failures.append("resumed run replayed no journaled spans")
+            failures.append("rerun replayed no journaled spans")
     if "journal-corruption" in spec.dims:
         corrupt = across_phases("journal_corrupt_records")
         observed["journal_corrupt"] = corrupt
@@ -646,7 +629,7 @@ def run_trial(spec: TrialSpec, campaign: _Campaign) -> TrialResult:
 
 
 def _verify_cmd(seed, claims: str, budget: str, json_out: Path,
-                journal: Optional[Path] = None, resume: bool = False):
+                journal: Optional[Path] = None):
     cmd = [
         sys.executable, "-m", "repro", "--seed", str(seed),
         "verify", "--claims", claims, "--budget", budget,
@@ -654,19 +637,15 @@ def _verify_cmd(seed, claims: str, budget: str, json_out: Path,
     ]
     if journal is not None:
         cmd += ["--journal", str(journal)]
-    if resume:
-        cmd += ["--resume"]
     return cmd
 
 
 def _journal_counters(report: dict) -> Dict[str, int]:
-    totals = {"replayed": 0, "corrupt": 0, "stale": 0, "appended": 0}
+    totals = {"replayed": 0, "corrupt": 0}
     for check in report.get("checks", []):
         for stats in check.get("timing", {}).get("run_stats", []):
             totals["replayed"] += stats.get("journal_replayed_chunks", 0)
             totals["corrupt"] += stats.get("journal_corrupt_records", 0)
-            totals["stale"] += stats.get("journal_stale_records", 0)
-            totals["appended"] += stats.get("journal_appended_chunks", 0)
     return totals
 
 
@@ -677,10 +656,11 @@ def run_process_trials(
     budget: str = "small",
     echo=None,
 ) -> List[TrialResult]:
-    """Kill a real ``repro verify`` coordinator mid-batch; resume; compare.
+    """Kill a real ``repro verify`` coordinator mid-batch; rerun; compare.
 
-    Two trials: SIGKILL (plus one corrupted journal record) and SIGINT.
-    Both must resume to a byte-identical deterministic payload.
+    Two trials: SIGKILL (plus one corrupted journal entry) and SIGINT.
+    Rerunning with the same ``--journal`` must give a byte-identical
+    deterministic payload.
     """
     import signal as _signal
 
@@ -721,7 +701,6 @@ def run_process_trials(
             continue
         trial_dir = workdir / name
         journal_dir = trial_dir / "journal"
-        records_dir = journal_dir / "records"
         first_out = trial_dir / "interrupted.json"
         proc = subprocess.Popen(
             _verify_cmd(seed, claims, budget, first_out, journal=journal_dir),
@@ -729,14 +708,11 @@ def run_process_trials(
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        # Wait for at least two durable records before killing: one to
-        # corrupt, one whose replay proves the resume actually resumed.
+        # Wait for at least two durable entries before killing: one to
+        # corrupt, one whose replay proves the rerun actually resumed.
         deadline = time.monotonic() + 300
         while proc.poll() is None and time.monotonic() < deadline:
-            if (
-                records_dir.is_dir()
-                and sum(1 for _ in records_dir.glob("*.json")) >= 2
-            ):
+            if sum(1 for _ in journal_dir.glob("*/*.json")) >= 2:
                 break
             time.sleep(0.01)
         killed_midrun = proc.poll() is None
@@ -749,11 +725,11 @@ def run_process_trials(
                 proc.wait()
         observed["killed_midrun"] = killed_midrun
 
-        records = sorted(records_dir.glob("*.json")) if records_dir.is_dir() else []
+        records = sorted(journal_dir.glob("*/*.json"))
         observed["records_at_resume"] = len(records)
         if not records:
             failures.append(
-                "no journal records survived the kill (nothing to resume)"
+                "no journal entries survived the kill (nothing to resume)"
             )
         if corrupt and records:
             _flip_byte(records[len(records) // 2])
@@ -761,7 +737,7 @@ def run_process_trials(
         resumed_out = trial_dir / "resumed.json"
         resumed = subprocess.run(
             _verify_cmd(seed, claims, budget, resumed_out,
-                        journal=journal_dir, resume=True),
+                        journal=journal_dir),
             env=env, capture_output=True, text=True, timeout=600,
         )
         if resumed.returncode != base.returncode:
@@ -785,12 +761,12 @@ def run_process_trials(
             )
             if corrupt and records and counters["corrupt"] < 1:
                 failures.append(
-                    "corrupted journal record was not quarantined on resume"
+                    "corrupted journal entry was not quarantined on rerun"
                 )
-            # With >1 surviving record at least one span must replay even
+            # With >1 surviving entry at least one span must replay even
             # after the corruption quarantined another.
             if len(records) > 1 and counters["replayed"] < 1:
-                failures.append("resumed run replayed no journaled spans")
+                failures.append("rerun replayed no journaled spans")
         results.append(TrialResult(
             name=f"process {name}", ok=not failures,
             failures=failures, observed=observed,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..crypto.prf import Rng
-from .cache import PHASES
+from .cache import PHASES, chunk_key
 
 #: Retry/timeout environment knobs (no explicit argument wins over these).
 ENV_MAX_RETRIES = "REPRO_MAX_RETRIES"
@@ -269,7 +269,7 @@ def run_task_chunk(
             f"chunk [{start}, {stop}), attempt {attempt}"
         )
     if cache is not None:
-        key = cache.key_for(task, start, stop)
+        key = chunk_key(task, start, stop)
         if key is not None:
             hit, value = cache.fetch(key)
             if hit:

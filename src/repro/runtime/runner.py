@@ -43,9 +43,14 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional, Sequence
 
-from .cache import ChunkCache, instrumentation_delta, instrumentation_snapshot
+from .cache import (
+    ChunkCache,
+    instrumentation_delta,
+    instrumentation_snapshot,
+    resolve_cache,
+)
 from .early_stop import EarlyStopRule
-from .journal import RunJournal
+from .journal import RunJournal, resolve_journal
 from .retry import ChunkTimeout, FaultSpec, RetryPolicy, run_task_chunk
 from .stats import BatchLog, RunStats
 from .tasks import merge_partials, plan_chunks
@@ -164,9 +169,13 @@ def resolve_runner(
     ``retry``/``fault``/``cache``/``backend``/``journal``
     default to the ``REPRO_MAX_RETRIES`` / ``REPRO_CHUNK_TIMEOUT`` /
     ``REPRO_FAULT_*`` / ``REPRO_CACHE_DIR`` / ``REPRO_BACKEND`` /
-    ``REPRO_JOURNAL_DIR`` environment knobs.
+    ``REPRO_JOURNAL_DIR`` environment knobs.  This is the one place the
+    store directories are read from the environment: a runner built
+    directly has exactly the stores it is given.
     """
     n = resolve_jobs(jobs)
+    cache = cache if cache is not None else resolve_cache()
+    journal = journal if journal is not None else resolve_journal()
     if n <= 1:
         return SerialRunner(
             chunk_size=chunk_size, retry=retry, fault=fault, cache=cache,
@@ -200,14 +209,11 @@ class BatchRunner:
         self.retry = retry if retry is not None else RetryPolicy.from_env()
         fault = fault if fault is not None else FaultSpec.from_env()
         self.fault = fault if fault is not None and fault.active else None
-        #: Persistent chunk-result cache; strictly opt-in (an explicit
-        #: instance or the ``REPRO_CACHE_DIR`` environment knob).
-        self.cache = cache if cache is not None else ChunkCache.from_env()
-        #: Crash-safe run ledger (see ``runtime.journal``); opt-in like
-        #: the cache (an explicit instance or ``REPRO_JOURNAL_DIR``).
-        #: Completed chunks are always recorded; journaled spans are only
-        #: *replayed* when the journal was opened with ``resume=True``.
-        self.journal = journal if journal is not None else RunJournal.from_env()
+        #: Persistent chunk-result cache, or ``None`` for no cache.
+        self.cache = cache
+        #: Crash-safe run ledger (see ``runtime.journal``), or ``None``:
+        #: journaled spans are replayed, computed ones recorded.
+        self.journal = journal
         #: Execution engine policy (``auto``/``reference``/``vectorized``)
         #: — distinct from the venue (``self.backend``): the venue says
         #: *where* chunks run, the execution backend says *what* computes
@@ -281,7 +287,6 @@ class BatchRunner:
             journal_replayed_chunks=log.journal_replayed,
             journal_appended_chunks=log.journal_appends,
             journal_corrupt_records=log.journal_corrupt,
-            journal_stale_records=log.journal_stale,
             cache_corrupt_entries=log.cache_corrupt,
             cache_write_errors=log.cache_write_errors,
             setup_s=log.setup_s,
@@ -298,8 +303,8 @@ class BatchRunner:
         )
         self.stats_history.append(self.last_stats)
 
-    def _journal_fetch(self, task, ti, start, stop, log: BatchLog):
-        """Look one span up in the run ledger; drain quarantine counts.
+    def _journal_fetch(self, task, start, stop, log: BatchLog):
+        """Look one span up in the run ledger; count quarantined entries.
 
         Does *not* log a chunk record — the caller logs the span as
         ``"journaled"`` only when it actually consumes the partial, so
@@ -308,17 +313,16 @@ class BatchRunner:
         """
         if self.journal is None:
             return False, None
-        hit, part = self.journal.fetch(task, ti, start, stop)
-        drained = self.journal.drain_new_counts()
-        log.journal_corrupt += drained["corrupt"]
-        log.journal_stale += drained["stale"]
+        corrupt = self.journal.corrupt
+        hit, part = self.journal.fetch(task, start, stop)
+        log.journal_corrupt += self.journal.corrupt - corrupt
         return hit, part
 
-    def _journal_record(self, task, ti, start, stop, part, log: BatchLog) -> None:
-        """Durably append one computed span to the run ledger."""
+    def _journal_record(self, task, start, stop, part, log: BatchLog) -> None:
+        """Durably store one computed span in the run ledger."""
         if self.journal is None:
             return
-        if self.journal.record(task, ti, start, stop, part):
+        if self.journal.record(task, start, stop, part):
             log.journal_appends += 1
 
     def _serial_chunk(self, task, ti, start, stop, log: BatchLog):
@@ -384,7 +388,7 @@ class SerialRunner(BatchRunner):
             # Single sweep: identical result, no merge overhead.  (A
             # cache forces planned chunks so serial and pool batches
             # store/fetch identical chunk spans; a journal does too —
-            # resume must find the exact spans the interrupted run
+            # a rerun must find the exact spans an interrupted run
             # recorded, whichever venue wrote them; an explicit
             # chunk_size likewise, so the venues account interrupts over
             # the same span set.)
@@ -411,12 +415,12 @@ class SerialRunner(BatchRunner):
                         log.chunk(ti, start, stop, 0, "cancelled", "serial", 0.0)
                         handled.add((ti, start, stop))
                         continue
-                    hit, part = self._journal_fetch(task, ti, start, stop, log)
+                    hit, part = self._journal_fetch(task, start, stop, log)
                     if hit:
                         log.chunk(ti, start, stop, 0, "journaled", "serial", 0.0)
                     else:
                         part = self._serial_chunk(task, ti, start, stop, log)
-                        self._journal_record(task, ti, start, stop, part, log)
+                        self._journal_record(task, start, stop, part, log)
                     handled.add((ti, start, stop))
                     value = part if value is None else merge_partials(value, part)
                     if early_stop is not None and early_stop.should_stop(value):
@@ -578,14 +582,14 @@ class ProcessPoolRunner(BatchRunner):
         handled: set = set()
         try:
             # Journaled spans are resolved parent-side before anything is
-            # submitted: a resumed span never occupies a pool slot, and
+            # submitted: a replayed span never occupies a pool slot, and
             # every remaining span enters the pool exactly as before.
             journaled: dict = {}
             if self.journal is not None:
                 for ti, plan in enumerate(plans):
                     for start, stop in plan:
                         hit, part = self._journal_fetch(
-                            tasks[ti], ti, start, stop, log
+                            tasks[ti], start, stop, log
                         )
                         if hit:
                             journaled[(ti, start, stop)] = part
@@ -624,7 +628,7 @@ class ProcessPoolRunner(BatchRunner):
                         part = self._chunk_result(
                             tasks[ti], ti, start, stop, future, log
                         )
-                        self._journal_record(tasks[ti], ti, start, stop, part, log)
+                        self._journal_record(tasks[ti], start, stop, part, log)
                     handled.add((ti, start, stop))
                     value = part if value is None else merge_partials(value, part)
                     if early_stop is not None and early_stop.should_stop(value):

@@ -34,7 +34,7 @@ class ChunkStats:
     ``"replayed"`` when the chunk exhausted its retries and completed via
     trusted in-process serial replay, ``"cancelled"`` when adaptive
     early stopping dropped the chunk before it was consumed, and
-    ``"journaled"`` when a resumed batch replayed the partial from the
+    ``"journaled"`` when the batch replayed the partial from the
     crash-safe run ledger instead of recomputing it.
     ``wall_clock_s`` is parent-observed (for pool chunks it includes any
     queue wait and retry backoff).
@@ -51,7 +51,7 @@ class ChunkStats:
     ``engine`` names the execution engine that computed the partial —
     ``"reference"`` for the state machine, ``"vectorized"`` for a chunk
     kernel, ``"cache"`` when the partial was served from disk,
-    ``"journal"`` when a resume replayed it from the run ledger, and in
+    ``"journal"`` when it was replayed from the run ledger, and in
     both of those cases no engine ran at all.
     """
 
@@ -106,13 +106,12 @@ class RunStats:
     serial_replays: int = 0
     cancelled_chunks: int = 0
     #: Crash-safe run-ledger traffic (see ``runtime.journal``): spans
-    #: replayed from the journal on a resume, spans durably appended by
-    #: this batch, and records quarantined as corrupt (bad checksum /
-    #: undecodable) or stale (span matches, content fingerprint does not).
+    #: replayed from the journal, spans durably stored by this batch, and
+    #: entries quarantined as corrupt (bad checksum, misfiled, or
+    #: undecodable).
     journal_replayed_chunks: int = 0
     journal_appended_chunks: int = 0
     journal_corrupt_records: int = 0
-    journal_stale_records: int = 0
     #: Chunk-cache integrity: entries quarantined on checksum mismatch
     #: (each also counts as a miss) and store attempts that failed.
     cache_corrupt_entries: int = 0
@@ -182,8 +181,7 @@ class RunStats:
         if self.journal_replayed_chunks or self.journal_corrupt_records:
             text += (
                 f" [journal: {self.journal_replayed_chunks} replayed, "
-                f"{self.journal_corrupt_records} corrupt, "
-                f"{self.journal_stale_records} stale]"
+                f"{self.journal_corrupt_records} corrupt]"
             )
         return text
 
@@ -214,7 +212,6 @@ class BatchLog:
         self.journal_replayed = 0
         self.journal_appends = 0
         self.journal_corrupt = 0
-        self.journal_stale = 0
         self.cache_corrupt = 0
         self.cache_write_errors = 0
         self.setup_s = 0.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-from ..runtime import BatchRunner, RunStats, SerialRunner
+from ..runtime import BatchRunner, RunStats, resolve_runner
 from .claims import (
     Claim,
     ClaimConfigError,
@@ -119,16 +119,15 @@ class VerificationReport:
     def journal_summary(self) -> dict:
         """Aggregated run-ledger traffic across every claim's batches.
 
-        All zeros when no journal was configured; on a resume the
-        ``replayed`` count is how much recomputation the ledger saved.
+        All zeros when no journal was configured; the ``replayed``
+        count is how much recomputation the ledger saved.
         """
-        totals = {"replayed": 0, "appended": 0, "corrupt": 0, "stale": 0}
+        totals = {"replayed": 0, "appended": 0, "corrupt": 0}
         for check in self.checks:
             for stats in check.run_stats:
                 totals["replayed"] += stats.journal_replayed_chunks
                 totals["appended"] += stats.journal_appended_chunks
                 totals["corrupt"] += stats.journal_corrupt_records
-                totals["stale"] += stats.journal_stale_records
         return totals
 
     def __str__(self) -> str:
@@ -145,8 +144,7 @@ class VerificationReport:
         if any(ledger.values()):
             lines.append(
                 f"run ledger: {ledger['replayed']} spans replayed, "
-                f"{ledger['appended']} appended, {ledger['corrupt']} "
-                f"corrupt, {ledger['stale']} stale"
+                f"{ledger['appended']} appended, {ledger['corrupt']} corrupt"
             )
         return "\n".join(lines)
 
@@ -204,7 +202,7 @@ def verify_claims(
     registry = registry if registry is not None else default_registry()
     scale = resolve_budget(budget)
     selected = registry.select(claim_spec)
-    runner = runner if runner is not None else SerialRunner()
+    runner = runner if runner is not None else resolve_runner(1)
     budget_name = budget if isinstance(budget, str) else str(int(budget))
 
     t0 = time.perf_counter()

@@ -4,8 +4,8 @@ The soundness bar for every cache in the runtime is bit-identity: a memo
 hit, a disk-cache hit, or a backend switch may never change a single
 event count.  These tests pin that, plus the key-sensitivity properties
 (different seed / fault config / protocol ⇒ different keys), the
-pickle-free entry format, and the strict opt-in-ness of the persistent
-cache.
+pickle-free entry format, entries that name their own key, and the
+strict opt-in-ness of the persistent cache.
 """
 
 import os
@@ -27,6 +27,8 @@ from repro.runtime import (
     resolve_runner,
 )
 from repro.runtime.cache import (
+    chunk_key,
+    entry_path,
     instrumentation_delta,
     instrumentation_snapshot,
 )
@@ -98,32 +100,28 @@ class TestSetupMemos:
 
 
 class TestChunkCacheKeys:
-    def test_key_is_deterministic(self, tmp_path):
-        cache = ChunkCache(tmp_path)
+    def test_key_is_deterministic(self):
         (task,) = _tasks()[:1]
-        assert cache.key_for(task, 0, 10) == cache.key_for(task, 0, 10)
+        assert chunk_key(task, 0, 10) == chunk_key(task, 0, 10)
 
-    def test_key_changes_with_span_seed_salt(self, tmp_path):
-        cache = ChunkCache(tmp_path)
+    def test_key_changes_with_span_seed_salt(self):
         (task,) = _tasks()[:1]
         (other_seed,) = _tasks(seed="other")[:1]
-        base = cache.key_for(task, 0, 10)
-        assert cache.key_for(task, 0, 20) != base
-        assert cache.key_for(task, 10, 20) != base
-        assert cache.key_for(other_seed, 0, 10) != base
+        base = chunk_key(task, 0, 10)
+        assert chunk_key(task, 0, 20) != base
+        assert chunk_key(task, 10, 20) != base
+        assert chunk_key(other_seed, 0, 10) != base
 
-    def test_key_changes_with_fault_config(self, tmp_path):
-        cache = ChunkCache(tmp_path)
+    def test_key_changes_with_fault_config(self):
         (plain,) = _tasks()[:1]
         (faulty,) = _tasks(faults=_engine_faults(loss=0.1))[:1]
         (faultier,) = _tasks(faults=_engine_faults(loss=0.2))[:1]
         keys = {
-            cache.key_for(t, 0, 10) for t in (plain, faulty, faultier)
+            chunk_key(t, 0, 10) for t in (plain, faulty, faultier)
         }
         assert len(keys) == 3
 
-    def test_key_changes_with_protocol_and_strategy(self, tmp_path):
-        cache = ChunkCache(tmp_path)
+    def test_key_changes_with_protocol_and_strategy(self):
         t2sfe = _tasks()[0]
         gmw = gmw_from_spec(make_and(), [1, 1])
         gmw_space = strategy_space_for_protocol(gmw)[:2]
@@ -131,34 +129,31 @@ class TestChunkCacheKeys:
             ExecutionTask(gmw, f, 120, seed=("cache-test", f.name))
             for f in gmw_space
         ]
-        keys = {cache.key_for(t, 0, 10) for t in [t2sfe] + gmw_tasks}
+        keys = {chunk_key(t, 0, 10) for t in [t2sfe] + gmw_tasks}
         assert len(keys) == 3
 
-    def test_opaque_tasks_are_never_cached(self, tmp_path):
-        cache = ChunkCache(tmp_path)
-
+    def test_opaque_tasks_are_never_cached(self):
         class Opaque:
             n_runs = 10
 
             def run_chunk(self, start, stop):
                 return stop - start
 
-        assert cache.key_for(Opaque(), 0, 10) is None
+        assert chunk_key(Opaque(), 0, 10) is None
 
         (task,) = _tasks()[:1]
         task.input_sampler = lambda rng: (0, 0)  # no cache_token
-        assert cache.key_for(task, 0, 10) is None
+        assert chunk_key(task, 0, 10) is None
 
-    def test_schema_version_in_key(self, tmp_path, monkeypatch):
+    def test_schema_version_in_key(self, monkeypatch):
         import repro.runtime.cache as cache_mod
 
-        cache = ChunkCache(tmp_path)
         (task,) = _tasks()[:1]
-        before = cache.key_for(task, 0, 10)
+        before = chunk_key(task, 0, 10)
         monkeypatch.setattr(
             cache_mod, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1
         )
-        assert cache.key_for(task, 0, 10) != before
+        assert chunk_key(task, 0, 10) != before
 
 
 # -- chunk-cache correctness --------------------------------------------------
@@ -248,9 +243,9 @@ class TestChunkCacheCorrectness:
         (task,) = _tasks()[:1]
         value = task.run_chunk(0, 10)
         cache = ChunkCache(tmp_path)
-        key = cache.key_for(task, 0, 10)
+        key = chunk_key(task, 0, 10)
         payload = pickle.dumps(value)
-        path = cache._path(key)
+        path = entry_path(tmp_path, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(
             cache_mod._ENTRY_MAGIC + hashlib.sha256(payload).digest() + payload
@@ -269,11 +264,29 @@ class TestChunkCacheCorrectness:
         assert not path.exists()
         assert path.with_suffix(".corrupt").exists()
 
+    def test_misfiled_entry_does_not_satisfy_the_wrong_key(self, tmp_path):
+        """An intact entry copied onto another key's path is quarantined
+        as corrupt, never served for that key."""
+        (task,) = _tasks()[:1]
+        cache = ChunkCache(tmp_path)
+        key_a, key_b = chunk_key(task, 0, 10), chunk_key(task, 10, 20)
+        cache.store(key_a, task.run_chunk(0, 10))
+        path_b = entry_path(tmp_path, key_b)
+        path_b.parent.mkdir(parents=True, exist_ok=True)
+        path_b.write_bytes(entry_path(tmp_path, key_a).read_bytes())
+        before = instrumentation_snapshot()
+        assert cache.fetch(key_b) == (False, None)
+        delta = instrumentation_delta(before)
+        assert delta["cache_corrupt"] == 1
+        assert delta["cache_hits"] == 0
+        assert path_b.with_suffix(".corrupt").exists()
+        assert cache.fetch(key_a)[0]
+
     def test_warm_hit_preserves_counts_and_their_order(self, tmp_path):
         (task,) = _tasks()[:1]
         computed = task.run_chunk(0, 50)
         cache = ChunkCache(tmp_path)
-        key = cache.key_for(task, 0, 50)
+        key = chunk_key(task, 0, 50)
         cache.store(key, computed)
         hit, fetched = ChunkCache(tmp_path).fetch(key)
         assert hit
@@ -286,7 +299,7 @@ class TestChunkCacheCorrectness:
     def test_unencodable_partial_is_a_write_error(self, tmp_path):
         cache = ChunkCache(tmp_path)
         (task,) = _tasks()[:1]
-        key = cache.key_for(task, 0, 10)
+        key = chunk_key(task, 0, 10)
         before = instrumentation_snapshot()
         cache.store(key, {"not": "a partial"})
         delta = instrumentation_delta(before)
@@ -330,16 +343,25 @@ class TestChunkCacheCorrectness:
 class TestCacheOptIn:
     def test_no_env_no_cache(self, monkeypatch):
         monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
-        assert ChunkCache.from_env() is None
         assert resolve_cache() is None
         assert SerialRunner().cache is None
         assert resolve_runner(1).cache is None
 
     def test_env_enables_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
-        cache = ChunkCache.from_env()
+        cache = resolve_cache()
         assert cache is not None and cache.root == tmp_path
-        assert SerialRunner().cache is not None
+        assert resolve_runner(1).cache.root == tmp_path
+        assert resolve_runner(2).cache.root == tmp_path
+
+    def test_explicit_runner_ignores_the_env(self, tmp_path, monkeypatch):
+        """Only resolve_runner reads the store variables: a runner built
+        directly with ``cache=None`` has no store at all."""
+        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "journal"))
+        runner = SerialRunner(cache=None)
+        assert runner.cache is None and runner.journal is None
+        assert ProcessPoolRunner(2).cache is None
 
     def test_explicit_path_wins_over_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "env"))
@@ -443,3 +465,14 @@ class TestCliCache:
         main(["--runs", "20", "profile", "opt-2sfe", "--top", "5"])
         out = capsys.readouterr().out
         assert "phases:" in out and "cumtime" in out
+
+    def test_cli_profile_ignores_the_cache_env(self, tmp_path, capsys,
+                                               monkeypatch):
+        """``profile`` measures the protocol, not the entry decoder: with
+        ``REPRO_CACHE_DIR`` set it neither reads nor fills the cache."""
+        from repro.cli import main
+
+        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
+        main(["--runs", "20", "profile", "opt-2sfe", "--top", "5"])
+        assert "phases:" in capsys.readouterr().out
+        assert len(ChunkCache(tmp_path)) == 0

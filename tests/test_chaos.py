@@ -174,7 +174,7 @@ class TestReport:
 class TestCampaignEndToEnd:
     def test_small_serial_campaign_is_green(self, tmp_path, monkeypatch):
         # Trials must not inherit ambient fault/cache/journal knobs.
-        for var in ("REPRO_JOURNAL_DIR", "REPRO_RESUME", "REPRO_CACHE_DIR"):
+        for var in ("REPRO_JOURNAL_DIR", "REPRO_CACHE_DIR"):
             monkeypatch.delenv(var, raising=False)
         report = run_campaign(
             ("chaos-test", 1),

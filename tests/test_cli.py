@@ -124,35 +124,35 @@ class TestRuntimeFlags:
 
 
 class TestJournalFlags:
-    def test_journal_and_resume_parse(self):
+    def test_journal_parses(self):
         parser = build_parser()
-        args = parser.parse_args(["--journal", "ledger", "--resume", "zoo"])
+        args = parser.parse_args(["--journal", "ledger", "zoo"])
         assert args.journal == "ledger"
-        assert args.resume is True
         args = parser.parse_args(["zoo"])
         assert args.journal is None
-        assert args.resume is False
 
     def test_accepted_after_verify_subcommand(self):
         parser = build_parser()
-        args = parser.parse_args(
-            ["verify", "--journal", "ledger", "--resume"]
-        )
+        args = parser.parse_args(["verify", "--journal", "ledger"])
         assert args.journal == "ledger"
-        assert args.resume is True
 
-    def test_resume_without_directory_is_a_usage_error(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOURNAL_DIR", raising=False)
-        monkeypatch.delenv("REPRO_RESUME", raising=False)
-        with pytest.raises(SystemExit, match="REPRO_JOURNAL_DIR"):
-            main(["--resume", "zoo"])
+    def test_resume_without_directory_is_a_usage_error(self, capsys):
+        # A journal is read on every run, so there is no resume flag:
+        # passing one is rejected, with or without a journal directory.
+        for argv in (["--resume", "zoo"],
+                     ["--journal", "ledger", "--resume", "zoo"],
+                     ["verify", "--journal", "ledger", "--resume"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: repro")
 
     def test_garbage_env_knobs_exit_cleanly(self, monkeypatch):
         # Satellite contract: every runtime env knob fails as a one-line
         # usage error naming itself, not a traceback from the runner.
         for var, raw in [
             ("REPRO_JOBS", "many"),
-            ("REPRO_RESUME", "maybe"),
+            ("REPRO_CHUNK_SIZE", "some"),
         ]:
             monkeypatch.setenv(var, raw)
             with pytest.raises(SystemExit, match=var):
@@ -164,14 +164,18 @@ class TestJournalFlags:
             capsys,
             "--runs", "30", "--journal", str(tmp_path), "attack", "dummy",
         )
-        assert (tmp_path / "records").is_dir()
-        assert list((tmp_path / "records").glob("*.json"))
+        entries = sorted(tmp_path.glob("*/*.json"))
+        assert entries
+        # Rerunning with the same directory replays it: no flag needed.
         warm = run_cli(
             capsys,
-            "--runs", "30", "--journal", str(tmp_path), "--resume",
+            "--runs", "30", "--journal", str(tmp_path), "--stats",
             "attack", "dummy",
         )
-        assert warm == cold
+        assert warm.startswith(cold)
+        history = json.loads(warm[len(cold):])
+        assert sum(s["journal_replayed_chunks"] for s in history) == len(entries)
+        assert sum(s["journal_appended_chunks"] for s in history) == 0
 
 
 class TestChaosCommand:
@@ -194,7 +198,7 @@ class TestChaosCommand:
     def test_minimal_campaign_runs_and_writes_artifact(
         self, capsys, tmp_path, monkeypatch
     ):
-        for var in ("REPRO_JOURNAL_DIR", "REPRO_RESUME", "REPRO_CACHE_DIR"):
+        for var in ("REPRO_JOURNAL_DIR", "REPRO_CACHE_DIR"):
             monkeypatch.delenv(var, raising=False)
         out_path = tmp_path / "campaign.json"
         out = run_cli(

@@ -1,8 +1,8 @@
-"""Crash-safe run ledger: record/resume round-trips on every venue,
-quarantine of corrupt and stale records, opt-in resume semantics,
-opaque-task exclusion, and the resolve_journal precedence/validation
-contract (``--journal``/``--resume`` vs ``REPRO_JOURNAL_DIR``/
-``REPRO_RESUME``)."""
+"""Crash-safe run ledger: record/replay round-trips on every venue,
+quarantine of corrupt entries, records of tasks that share a label
+surviving each other, opaque-task exclusion, the entry format shared
+with the chunk cache, and the resolve_journal precedence contract
+(``--journal`` vs ``REPRO_JOURNAL_DIR``)."""
 
 import pytest
 
@@ -12,9 +12,10 @@ from repro.core import FairnessEvent
 from repro.functions import make_swap
 from repro.protocols import Opt2SfeProtocol
 from repro.runtime import (
+    CACHE_SCHEMA_VERSION,
     ENV_JOURNAL_DIR,
-    ENV_RESUME,
     NO_FAULTS,
+    ChunkCache,
     ExecutionTask,
     ProcessPoolRunner,
     RetryPolicy,
@@ -22,8 +23,8 @@ from repro.runtime import (
     SerialRunner,
     resolve_journal,
 )
+from repro.runtime.cache import chunk_key, entry_path
 from repro.runtime.chaos import payload_fingerprint
-from repro.runtime.journal import JOURNAL_SCHEMA_VERSION, _env_flag
 
 FAST = dict(backoff_s=0.01, backoff_multiplier=1.0)
 
@@ -46,43 +47,42 @@ def _serial(journal=None):
     )
 
 
+def _entries(root):
+    return sorted(root.glob("*/*.json"))
+
+
 @pytest.fixture(autouse=True)
 def _no_ambient_journal(monkeypatch):
     """Explicit journals only: ambient env knobs must not leak in."""
     monkeypatch.delenv(ENV_JOURNAL_DIR, raising=False)
-    monkeypatch.delenv(ENV_RESUME, raising=False)
 
 
 # -- keys ---------------------------------------------------------------------
 
 
 class TestKeys:
-    def test_key_is_deterministic(self, tmp_path):
-        journal = RunJournal(tmp_path)
+    def test_key_is_deterministic(self):
         task = _tasks()[0]
-        assert journal.key_for(task, 0, 6) == journal.key_for(task, 0, 6)
+        assert chunk_key(task, 0, 6) == chunk_key(task, 0, 6)
 
-    def test_key_varies_with_span_and_content(self, tmp_path):
-        journal = RunJournal(tmp_path)
+    def test_key_varies_with_span_and_content(self):
         a, b = _tasks()
         keys = {
-            journal.key_for(a, 0, 6),
-            journal.key_for(a, 6, 12),
-            journal.key_for(b, 0, 6),
+            chunk_key(a, 0, 6),
+            chunk_key(a, 6, 12),
+            chunk_key(b, 0, 6),
         }
         assert len(keys) == 3
 
-    def test_opaque_task_has_no_key(self, tmp_path):
-        journal = RunJournal(tmp_path)
-
+    def test_opaque_task_has_no_key(self):
         class Opaque:
             label = "opaque"
             n_runs = 12
 
-        assert journal.key_for(Opaque(), 0, 6) is None
+        assert chunk_key(Opaque(), 0, 6) is None
 
 
-# -- record / resume round trips ---------------------------------------------
+# -- record / replay round trips ---------------------------------------------
 
 
 class TestRecordResume:
@@ -96,20 +96,15 @@ class TestRecordResume:
         assert stats.journal_appended_chunks == stats.n_chunks
         assert stats.journal_replayed_chunks == 0
 
-        second = _serial(journal=RunJournal(tmp_path, resume=True))
+        second = _serial(journal=RunJournal(tmp_path))
         resumed = second.run(_tasks())
         assert payload_fingerprint(resumed) == payload_fingerprint(baseline)
         stats = second.last_stats
         assert stats.journal_replayed_chunks == stats.n_chunks
+        assert stats.journal_appended_chunks == 0
         assert stats.executions == stats.requested
         assert all(c.outcome == "journaled" for c in stats.chunks)
         assert all(c.engine == "journal" for c in stats.chunks)
-
-    def test_resume_is_strictly_opt_in(self, tmp_path):
-        _serial(journal=RunJournal(tmp_path)).run(_tasks())
-        rerun = _serial(journal=RunJournal(tmp_path, resume=False))
-        rerun.run(_tasks())
-        assert rerun.last_stats.journal_replayed_chunks == 0
 
     def test_pool_resumes_a_serial_journal(self, tmp_path):
         baseline = _serial().run(_tasks())
@@ -120,7 +115,7 @@ class TestRecordResume:
             min_parallel_runs=0,
             retry=RetryPolicy(max_retries=2, **FAST),
             fault=NO_FAULTS,
-            journal=RunJournal(tmp_path, resume=True),
+            journal=RunJournal(tmp_path),
         )
         resumed = pool.run(_tasks())
         assert payload_fingerprint(resumed) == payload_fingerprint(baseline)
@@ -132,10 +127,10 @@ class TestRecordResume:
         _serial(journal=RunJournal(tmp_path)).run(_tasks())
 
         # Drop one record: that single span must recompute, the rest replay.
-        records = sorted((tmp_path / "records").glob("*.json"))
+        records = _entries(tmp_path)
         records[len(records) // 2].unlink()
 
-        resumed = _serial(journal=RunJournal(tmp_path, resume=True))
+        resumed = _serial(journal=RunJournal(tmp_path))
         values = resumed.run(_tasks())
         assert payload_fingerprint(values) == payload_fingerprint(baseline)
         stats = resumed.last_stats
@@ -145,8 +140,8 @@ class TestRecordResume:
 
     def test_interrupted_run_resumes_byte_identical(self, tmp_path):
         """SIGINT-at-a-chunk-boundary simulation: the interrupted batch
-        leaves a durable prefix, and ``--resume`` completes it to the
-        exact fingerprint of an uninterrupted run."""
+        leaves a durable prefix, and a rerun against the same journal
+        completes it to the exact fingerprint of an uninterrupted run."""
         baseline = _serial().run(_tasks())
 
         class Booby:
@@ -170,7 +165,7 @@ class TestRecordResume:
         assert first.last_stats.cancelled_chunks >= 1
         assert len(RunJournal(tmp_path)) >= 1
 
-        second = _serial(journal=RunJournal(tmp_path, resume=True))
+        second = _serial(journal=RunJournal(tmp_path))
         values = second.run(_tasks())
         assert payload_fingerprint(values) == payload_fingerprint(baseline)
         assert second.last_stats.journal_replayed_chunks >= 1
@@ -204,16 +199,17 @@ class TestOpaqueTasks:
 
     def test_record_reports_refusal(self, tmp_path):
         journal = RunJournal(tmp_path)
-        assert journal.record(_PlainTask(12), 0, 0, 6, EventCounts()) is False
+        assert journal.record(_PlainTask(12), 0, 6, EventCounts()) is False
+        assert journal.fetch(_PlainTask(12), 0, 6) == (False, None)
 
 
-# -- corruption and staleness -------------------------------------------------
+# -- corruption ---------------------------------------------------------------
 
 
 class TestQuarantine:
     def _journaled(self, tmp_path):
         _serial(journal=RunJournal(tmp_path)).run(_tasks())
-        return sorted((tmp_path / "records").glob("*.json"))
+        return _entries(tmp_path)
 
     def test_bitflip_is_quarantined_and_counted(self, tmp_path):
         baseline = _serial().run(_tasks())
@@ -223,58 +219,86 @@ class TestQuarantine:
         raw[len(raw) // 2] ^= 0xFF
         victim.write_bytes(bytes(raw))
 
-        resumed = _serial(journal=RunJournal(tmp_path, resume=True))
+        resumed = _serial(journal=RunJournal(tmp_path))
         values = resumed.run(_tasks())
         assert payload_fingerprint(values) == payload_fingerprint(baseline)
         stats = resumed.last_stats
         assert stats.journal_corrupt_records == 1
         assert stats.journal_replayed_chunks == len(records) - 1
-        quarantined = list((tmp_path / "quarantine").glob("*.json"))
-        assert [p.name for p in quarantined] == [victim.name]
+        quarantined = list(tmp_path.glob("*/*.corrupt"))
+        assert quarantined == [victim.with_suffix(".corrupt")]
 
     def test_truncated_record_is_corrupt(self, tmp_path):
         records = self._journaled(tmp_path)
-        records[0].write_text(records[0].read_text()[: len("{")])
-        resumed = _serial(journal=RunJournal(tmp_path, resume=True))
+        records[0].write_bytes(records[0].read_bytes()[:10])
+        resumed = _serial(journal=RunJournal(tmp_path))
         resumed.run(_tasks())
         assert resumed.last_stats.journal_corrupt_records == 1
 
     def test_renamed_record_does_not_satisfy_the_wrong_key(self, tmp_path):
-        """The filename is part of the integrity story: a valid record
-        copied onto another span's key must read as corrupt, not as that
-        span's partial."""
-        records = self._journaled(tmp_path)
-        a, b = records[0], records[1]
-        payload = a.read_bytes()
-        b.unlink()
-        b.write_bytes(payload)
-
-        journal = RunJournal(tmp_path, resume=True)
-        journal._load()
-        counts = journal.drain_new_counts()
-        assert counts["corrupt"] == 1
-
-    def test_stale_records_counted_when_the_task_changed(self, tmp_path):
+        """The key is part of the integrity story: a valid entry copied
+        onto another span's path must read as corrupt, not as that span's
+        partial."""
         self._journaled(tmp_path)
-        # Same labels and spans, different seed: every record is stale.
-        fresh = _tasks(seed="journal-test-v2")
-        baseline = _serial().run(_tasks(seed="journal-test-v2"))
-        resumed = _serial(journal=RunJournal(tmp_path, resume=True))
-        values = resumed.run(fresh)
-        assert payload_fingerprint(values) == payload_fingerprint(baseline)
-        stats = resumed.last_stats
-        assert stats.journal_replayed_chunks == 0
-        assert stats.journal_stale_records == stats.n_chunks
-        assert stats.journal_corrupt_records == 0
+        task = _tasks()[0]
+        a = entry_path(tmp_path, chunk_key(task, 0, 6))
+        b = entry_path(tmp_path, chunk_key(task, 6, 12))
+        b.write_bytes(a.read_bytes())
+
+        journal = RunJournal(tmp_path)
+        assert journal.fetch(task, 6, 12) == (False, None)
+        assert journal.corrupt == 1
+        assert b.with_suffix(".corrupt").exists()
+        assert journal.fetch(task, 0, 6)[0]
 
     def test_stray_tmp_files_are_ignored(self, tmp_path):
         records = self._journaled(tmp_path)
-        (tmp_path / "records" / "half-written.tmp").write_text("garbage")
-        resumed = _serial(journal=RunJournal(tmp_path, resume=True))
+        (records[0].parent / "half-written.tmp").write_text("garbage")
+        resumed = _serial(journal=RunJournal(tmp_path))
         resumed.run(_tasks())
         stats = resumed.last_stats
         assert stats.journal_corrupt_records == 0
         assert stats.journal_replayed_chunks == len(records)
+
+
+# -- one store, many tasks ----------------------------------------------------
+
+
+class TestSharedStore:
+    def test_same_label_tasks_keep_each_others_records(self, tmp_path):
+        """Tasks that share a strategy label and spans but differ in
+        content (here: the seed) have different keys.  A run of the
+        second must neither replay nor discard the first's records."""
+        first = _tasks(seed="journal-test")[0]
+        second = _tasks(seed="journal-test-v2")[0]
+        assert first.label == second.label
+        _serial(journal=RunJournal(tmp_path)).run([first])
+        spans = len(_entries(tmp_path))
+        assert spans == 4
+
+        baseline = _serial().run([second, first])
+        rerun = _serial(journal=RunJournal(tmp_path))
+        values = rerun.run([second, first])
+        assert payload_fingerprint(values) == payload_fingerprint(baseline)
+        stats = rerun.last_stats
+        assert stats.journal_replayed_chunks == spans
+        replayed = {c.task_index for c in stats.chunks if c.outcome == "journaled"}
+        assert replayed == {1}
+        assert stats.journal_corrupt_records == 0
+        assert len(_entries(tmp_path)) == 2 * spans
+        assert not list(tmp_path.glob("*/*.corrupt"))
+
+    def test_journal_entries_serve_as_cache_entries(self, tmp_path):
+        """The journal and the chunk cache share key and entry format,
+        so a journal directory warms a cache pointed at it."""
+        baseline = _serial().run(_tasks())
+        _serial(journal=RunJournal(tmp_path)).run(_tasks())
+        warm = SerialRunner(chunk_size=6, fault=NO_FAULTS,
+                            cache=ChunkCache(tmp_path))
+        assert payload_fingerprint(warm.run(_tasks())) == payload_fingerprint(
+            baseline
+        )
+        assert warm.last_stats.cache_hits == warm.last_stats.n_chunks
 
 
 # -- configuration plumbing ---------------------------------------------------
@@ -293,48 +317,15 @@ class TestResolveJournal:
         monkeypatch.setenv(ENV_JOURNAL_DIR, str(tmp_path / "env"))
         journal = resolve_journal()
         assert journal.root == tmp_path / "env"
-        assert journal.resume is False
 
-    def test_resume_composes_with_env_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_RESUME, "1")
-        assert resolve_journal(tmp_path).resume is True
-        monkeypatch.setenv(ENV_RESUME, "0")
-        assert resolve_journal(tmp_path, resume=True).resume is True
-        assert resolve_journal(tmp_path, resume=False).resume is False
+    def test_schema_version_is_part_of_the_key(self, monkeypatch):
+        """Bumping the schema version must orphan old entries (they read
+        as misses, never as live partials for the new format)."""
+        import repro.runtime.cache as cache_mod
 
-    def test_resume_without_a_directory_raises(self):
-        with pytest.raises(ValueError, match=ENV_JOURNAL_DIR):
-            resolve_journal(resume=True)
-
-    def test_env_resume_without_dir_raises_from_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_RESUME, "true")
-        with pytest.raises(ValueError, match=ENV_RESUME):
-            RunJournal.from_env()
-
-    @pytest.mark.parametrize("raw", ["maybe", "2", "yes please"])
-    def test_garbage_resume_flag_names_the_variable(self, raw, monkeypatch):
-        monkeypatch.setenv(ENV_RESUME, raw)
-        with pytest.raises(ValueError, match=ENV_RESUME):
-            _env_flag(ENV_RESUME)
-
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [("", False), ("0", False), ("off", False), ("1", True),
-         ("TRUE", True), ("on", True)],
-    )
-    def test_flag_vocabulary(self, raw, expected, monkeypatch):
-        monkeypatch.setenv(ENV_RESUME, raw)
-        assert _env_flag(ENV_RESUME) is expected
-
-    def test_schema_version_is_part_of_the_key(self, tmp_path, monkeypatch):
-        """Bumping the schema version must orphan old records (they read
-        as stale, never as live partials for the new format)."""
-        import repro.runtime.journal as journal_mod
-
-        journal = RunJournal(tmp_path)
         task = _tasks()[0]
-        old_key = journal.key_for(task, 0, 6)
+        old_key = chunk_key(task, 0, 6)
         monkeypatch.setattr(
-            journal_mod, "JOURNAL_SCHEMA_VERSION", JOURNAL_SCHEMA_VERSION + 1
+            cache_mod, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1
         )
-        assert journal.key_for(task, 0, 6) != old_key
+        assert chunk_key(task, 0, 6) != old_key

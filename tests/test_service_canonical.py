@@ -11,7 +11,6 @@ and a CLI run of the same logical task collide in the cache (the
 dedupe-across-venues property).
 """
 
-import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,14 +19,10 @@ from repro.adversaries import strategy_space_for_protocol
 from repro.functions import make_swap
 from repro.protocols import Opt2SfeProtocol
 from repro.runtime import ExecutionTask
-from repro.runtime.cache import ChunkCache
+from repro.runtime.cache import chunk_key
 from repro.runtime.codec import resolve_strategy, task_fingerprint
 from repro.service import canonicalize, job_key, job_key_canonical
 from repro.service.canonical import DEFAULT_GAMMA, METHOD_SCHEMAS
-
-#: Shared scratch root for ChunkCache instances (keys never touch disk,
-#: but the constructor makes its root eagerly).
-_CACHE_DIR = tempfile.TemporaryDirectory()
 
 PROTOCOLS = ("opt-2sfe", "single-round", "gradual-release", "dummy",
              "gk-and-p2", "gk-and-p4")
@@ -187,9 +182,8 @@ class TestFingerprintEquality:
         direct_task = ExecutionTask(protocol, factory, 64, seed=seed)
 
         start, stop = span_index * 16, span_index * 16 + 16
-        cache = ChunkCache(_CACHE_DIR.name)
-        service_key = cache.key_for(service_task, start, stop)
-        direct_key = cache.key_for(direct_task, start, stop)
+        service_key = chunk_key(service_task, start, stop)
+        direct_key = chunk_key(direct_task, start, stop)
         assert service_key is not None
         assert service_key == direct_key
 

@@ -380,6 +380,22 @@ def test_e20_claims_pass_at_small_budget():
     assert report.exit_code == 0
 
 
+def test_e20_compares_two_engines_with_a_cache_in_the_env(
+    tmp_path, monkeypatch
+):
+    """E20's sides run on runners built with no store, so an ambient
+    ``REPRO_CACHE_DIR`` can neither serve the vectorized side the
+    reference side's partials nor receive any entry."""
+    from repro.runtime.vectorized.registry import COUNTERS
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    before = COUNTERS["vectorized_runs"]
+    report = verify_claims("E20-gk", budget="small", seed="vec-e20")
+    assert report.exit_code == 0
+    assert COUNTERS["vectorized_runs"] > before
+    assert not list(tmp_path.glob("*/*.json"))
+
+
 def test_entry_points_do_not_import_numpy(fresh_python):
     """The backend is pure standard library: loading the CLI, the
     service and the verifier pulls in no NumPy."""
