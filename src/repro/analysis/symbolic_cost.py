@@ -15,12 +15,9 @@ executions spend precisely the rounds and messages the paper's protocol
 descriptions say they do.  ``repro profile`` prints them next to the
 measured costs.
 
-Each formula is written once, as a Python callable that accepts either
-ints or sympy symbols.  :func:`evaluate` calls it with ints: integer
-arithmetic only, so no run (E21, the CLI) ever loads
-sympy.  sympy is needed only to inspect the closed forms as expressions
-through :func:`symbolic` and :func:`gk_reveal_rounds_symbolic`, which
-import it when called.
+Each formula is written once, as a Python callable over ints;
+:func:`evaluate` binds a protocol instance into it with integer
+arithmetic only.
 
 Honest-execution counting semantics (``measure_cost``): a transcript
 entry with a string sender is a functionality response, one with the
@@ -32,12 +29,8 @@ produced output.
 
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
-
-#: Whether :func:`symbolic` can run; looked up without importing sympy.
-HAVE_SYMPY = importlib.util.find_spec("sympy") is not None
 
 #: Symbol glossary (docs/architecture.md "Cost models").
 SYMBOLS: Dict[str, str] = {
@@ -79,13 +72,10 @@ class PredictedCost:
 class CostModel:
     """One protocol family's closed forms plus its symbol binder.
 
-    The four formula callables are polynomial in their parameters and
-    accept ints *or* sympy symbols.  :func:`evaluate` calls them with
-    the bound integers to get a prediction (integer arithmetic, no
-    sympy); :func:`symbolic` calls them with sympy symbols to get the
-    closed-form expressions for inspection.
-    ``bind`` extracts the parameter values from a live protocol
-    instance (e.g. ``R`` from ``GordonKatzProtocol.reveal_rounds``).
+    The four formula callables are polynomial in their integer
+    parameters; :func:`evaluate` calls them with the bound values to get
+    a prediction.  ``bind`` extracts the parameter values from a live
+    protocol instance (e.g. ``R`` from ``GordonKatzProtocol.reveal_rounds``).
     """
 
     family: str
@@ -178,64 +168,12 @@ def covered(protocol) -> bool:
     return model_for(protocol) is not None
 
 
-def _import_sympy():
-    try:
-        import sympy
-    except ImportError:
-        raise RuntimeError(
-            "sympy is not installed; only symbolic() and "
-            "gk_reveal_rounds_symbolic() need it (evaluate() never does)"
-        ) from None
-    return sympy
-
-
-def symbolic(model: CostModel) -> Dict[str, "sympy.Expr"]:
-    """The model's closed forms as sympy expressions.
-
-    Returns ``{"rounds": ..., "point_to_point_messages": ...,
-    "broadcasts": ..., "functionality_responses": ...}`` over positive
-    integer symbols named by ``model.params``.  Requires sympy.
-    """
-    sympy = _import_sympy()
-    syms = {
-        name: sympy.Symbol(name, positive=True, integer=True)
-        for name in model.params
-    }
-    args = [syms[name] for name in model.params]
-    return {
-        "rounds": sympy.sympify(model.rounds(*args)),
-        "point_to_point_messages": sympy.sympify(model.point_to_point(*args)),
-        "broadcasts": sympy.sympify(model.broadcasts(*args)),
-        "functionality_responses": sympy.sympify(model.functionality(*args)),
-    }
-
-
-def gk_reveal_rounds_symbolic(variant: str = "domain") -> "sympy.Expr":
-    """The Gordon–Katz round parameter ``R`` itself as a closed form.
-
-    ``R = 20·p·m`` for the domain variant, ``20·p²·m`` for the range
-    variant (``m`` the codomain/range size) — the Theorem 23/24 shapes
-    with the explicit e⁻²⁰ truncation margin used throughout
-    (``analysis.analytic.gk_round_count``).  Requires sympy.
-    """
-    sympy = _import_sympy()
-    p = sympy.Symbol("p", positive=True, integer=True)
-    m = sympy.Symbol("m", positive=True, integer=True)
-    if variant == "domain":
-        return 20 * p * m
-    if variant == "range":
-        return 20 * p ** 2 * m
-    raise ValueError(f"variant must be 'domain' or 'range', got {variant!r}")
-
-
 def evaluate(protocol) -> PredictedCost:
     """Bind a concrete protocol instance into its model's closed forms.
 
     The bound parameter values go straight into the formula callables,
-    so this is integer arithmetic only and never loads sympy (the test
-    suite cross-checks it against sympy substitution into
-    :func:`symbolic`).  Raises ``ValueError`` for a protocol with no
-    registered model.
+    so this is integer arithmetic only.  Raises ``ValueError`` for a
+    protocol with no registered model.
     """
     model = model_for(protocol)
     if model is None:

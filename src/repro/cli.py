@@ -16,10 +16,6 @@ Commands
                    API with content-addressed dedupe, streaming partial
                    RunStats, and per-tenant rate limits
                    (``repro serve --listen HOST:PORT``)
-``chaos``          run a seeded, reproducible chaos campaign: compose
-                   fault dimensions (injected chunk faults, worker
-                   kills, interrupts, cache/journal corruption) over
-                   execution venues and assert the runtime's invariants
 
 All measurements are Monte-Carlo; ``--runs`` and ``--seed`` control the
 budget and reproducibility, and ``--jobs`` (or the ``REPRO_JOBS``
@@ -55,7 +51,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 from typing import Dict, List
 
 from .adversaries import (
@@ -85,7 +80,6 @@ from .core import (
 )
 from .functions import make_concat, make_contract_exchange, make_swap
 from .runtime import RetryPolicy, resolve_cache, resolve_journal, resolve_runner
-from .runtime.chaos import DIMENSIONS as CHAOS_DIMENSIONS
 
 
 def _protocol_registry(n: int) -> Dict[str, object]:
@@ -364,68 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=argparse.SUPPRESS,
         help=argparse.SUPPRESS,
-    )
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="run a seeded chaos campaign: compose fault dimensions over "
-        "execution venues, assert payload bit-identity, leak-freedom, "
-        "and failure-counter consistency; exit 0 (all trials ok) / 1",
-    )
-    chaos.add_argument(
-        "--trials",
-        type=int,
-        default=4,
-        help="number of seeded trials to plan (default 4); each draws a "
-        "venue and a fault-dimension subset from --seed",
-    )
-    chaos.add_argument(
-        "--venues",
-        default="serial,pool",
-        help="comma-separated venues the planner may draw: serial, pool "
-        "(default serial,pool)",
-    )
-    chaos.add_argument(
-        "--dims",
-        default=",".join(CHAOS_DIMENSIONS),
-        help="comma-separated fault dimensions the planner may draw "
-        f"(default: all — {', '.join(CHAOS_DIMENSIONS)})",
-    )
-    chaos.add_argument(
-        "--trial",
-        action="append",
-        default=[],
-        metavar="VENUE:DIM+DIM",
-        help="append one explicit trial after the planned ones (repeatable; "
-        "e.g. 'pool:worker-kill+chunk-faults') — CI uses this for "
-        "deterministic coverage of specific combinations",
-    )
-    chaos.add_argument(
-        "--trial-runs",
-        type=int,
-        default=48,
-        help="Monte-Carlo runs per task inside each trial (default 48)",
-    )
-    chaos.add_argument(
-        "--process-trials",
-        action="store_true",
-        help="also kill a real 'repro verify' coordinator (SIGKILL and "
-        "SIGINT), corrupt a journal entry, rerun, and require a "
-        "byte-identical deterministic payload",
-    )
-    chaos.add_argument(
-        "--workdir",
-        default=None,
-        metavar="DIR",
-        help="keep per-trial journals/caches under DIR for post mortems "
-        "(default: a temporary directory, removed afterward)",
-    )
-    chaos.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the full campaign report (per-trial specs, failures, "
-        "observed counters) as JSON",
     )
 
     serve_cmd = sub.add_parser(
@@ -766,42 +698,6 @@ def cmd_verify(args, registry):
     return "\n".join(lines), report.exit_code
 
 
-def cmd_chaos(args, registry):
-    """Run a seeded chaos campaign; exit 0 (all trials ok) / 1.
-
-    Every trial choice derives from ``--seed``, so a failing campaign is
-    a reproducible test case: re-run with the same seed and flags.
-    """
-    from .runtime.chaos import run_campaign
-
-    def echo(message: str) -> None:
-        print(message, file=sys.stderr, flush=True)
-
-    try:
-        report = run_campaign(
-            args.seed,
-            n_trials=args.trials,
-            venues=tuple(
-                v.strip() for v in args.venues.split(",") if v.strip()
-            ),
-            dims=tuple(d.strip() for d in args.dims.split(",") if d.strip()),
-            explicit=tuple(args.trial),
-            workdir=args.workdir,
-            trial_runs=args.trial_runs,
-            process_trials=args.process_trials,
-            echo=echo,
-        )
-    except ValueError as exc:
-        # Bad venue/dimension/trial spec: a usage error, like argparse's.
-        raise SystemExit(f"repro chaos: {exc}")
-    lines = [str(report)]
-    if args.out:
-        path = Path(args.out)
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        lines.append(f"artifact written: {path}")
-    return "\n".join(lines), report.exit_code
-
-
 def _parse_listen(text: str):
     """Split a ``--listen HOST:PORT`` value (port 0 = OS-assigned)."""
     host, sep, port = text.rpartition(":")
@@ -867,7 +763,6 @@ COMMANDS = {
     "profile": cmd_profile,
     "verify": cmd_verify,
     "serve": cmd_serve,
-    "chaos": cmd_chaos,
 }
 
 

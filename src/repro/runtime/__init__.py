@@ -24,7 +24,7 @@ from .cache import (
     instrumentation_snapshot,
     resolve_cache,
 )
-from .early_stop import CiWidthStop, EarlyStopRule, UtilityBoundStop
+from .early_stop import EarlyStopRule
 from .retry import (
     ENV_CHUNK_TIMEOUT,
     ENV_FAULT_KIND,
@@ -81,8 +81,6 @@ __all__ = [
     "NO_FAULTS",
     "run_task_chunk",
     "EarlyStopRule",
-    "UtilityBoundStop",
-    "CiWidthStop",
     "resolve_jobs",
     "resolve_runner",
     "usable_cpus",

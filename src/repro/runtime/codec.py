@@ -3,9 +3,9 @@
 Two halves:
 
 * the **chunk-partial codec** (:func:`encode_partial` /
-  :func:`decode_partial`) that the chunk cache, the run journal and the
-  chaos harness persist partials with — plain tagged JSON, so nothing
-  read back from disk can execute code;
+  :func:`decode_partial`) that the chunk cache and the run journal
+  persist partials with — plain tagged JSON, so nothing read back from
+  disk can execute code;
 * the **task helpers** the service canonicalizes requests with: tagged
   seed values (:func:`tag_value` / :func:`untag_value`), strategy names
   rebuilt into adversary factories (:func:`resolve_strategy`), and the

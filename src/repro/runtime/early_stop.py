@@ -7,19 +7,11 @@ chunk boundaries are a pure function of ``n_runs`` (see
 :func:`~repro.runtime.tasks.default_chunk_size`), a stopped batch halts at
 the same run index under every backend — early-stopped results stay
 reproducible, they are just computed from fewer runs than requested.
-
-The canonical rule is :class:`UtilityBoundStop`: stop once the Wilson
-confidence interval of the folded utility estimate separates from the
-analytic bound being tested (above or below), so sweeps do not spend their
-full budget on strategies whose verdict is already statistically settled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..core.payoff import PayoffVector
-from ..core.utility import EventCounts, estimate_from_counts
+from ..core.utility import EventCounts
 
 
 class EarlyStopRule:
@@ -27,41 +19,3 @@ class EarlyStopRule:
 
     def should_stop(self, counts: EventCounts) -> bool:  # pragma: no cover
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class UtilityBoundStop(EarlyStopRule):
-    """Stop once the utility CI separates from ``bound``.
-
-    ``min_runs`` guards against spurious separation at tiny sample sizes;
-    ``margin`` widens the required separation (in utility units).
-    """
-
-    gamma: PayoffVector
-    bound: float
-    min_runs: int = 100
-    margin: float = 0.0
-
-    def should_stop(self, counts: EventCounts) -> bool:
-        if counts.total < self.min_runs:
-            return False
-        est = estimate_from_counts(counts, self.gamma)
-        return (
-            est.ci_high < self.bound - self.margin
-            or est.ci_low > self.bound + self.margin
-        )
-
-
-@dataclass(frozen=True)
-class CiWidthStop(EarlyStopRule):
-    """Stop once the utility CI is narrower than ``width``."""
-
-    gamma: PayoffVector
-    width: float
-    min_runs: int = 100
-
-    def should_stop(self, counts: EventCounts) -> bool:
-        if counts.total < self.min_runs:
-            return False
-        est = estimate_from_counts(counts, self.gamma)
-        return (est.ci_high - est.ci_low) < self.width

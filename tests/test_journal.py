@@ -24,7 +24,8 @@ from repro.runtime import (
     resolve_journal,
 )
 from repro.runtime.cache import chunk_key, entry_path
-from repro.runtime.chaos import payload_fingerprint
+
+from .conftest import payload_fingerprint
 
 FAST = dict(backoff_s=0.01, backoff_multiplier=1.0)
 

@@ -31,9 +31,10 @@ from repro.runtime import (
     ProcessPoolRunner,
     RetryPolicy,
     SerialRunner,
-    UtilityBoundStop,
     run_task_chunk,
 )
+
+from .conftest import StopAfter
 
 GAMMA = PayoffVector(0.0, 0.0, 1.0, 0.5)
 
@@ -312,7 +313,7 @@ def test_early_stop_and_retry_stop_at_same_run_index():
     """(d) Early stopping under fault injection halts at the identical
     run index as the failure-free serial backend."""
     protocol, factory = _workload()
-    rule = UtilityBoundStop(GAMMA, bound=0.95, min_runs=16)
+    rule = StopAfter(100)
     serial = run_batch(
         protocol, factory, 300, seed=8,
         runner=SerialRunner(chunk_size=25, fault=NO_FAULTS), early_stop=rule,
@@ -326,7 +327,7 @@ def test_early_stop_and_retry_stop_at_same_run_index():
         ),
     )
     assert serial == faulty
-    assert serial.total == faulty.total < 300
+    assert serial.total == faulty.total == 100
     assert faulty.run_stats.stopped_early
     assert faulty.run_stats.cancelled_chunks > 0
 

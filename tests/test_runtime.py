@@ -28,12 +28,10 @@ from repro.protocols import (
     OptNSfeProtocol,
 )
 from repro.runtime import (
-    CiWidthStop,
     ExecutionTask,
     ProcessPoolRunner,
     RunStats,
     SerialRunner,
-    UtilityBoundStop,
     default_chunk_size,
     merge_partials,
     plan_chunks,
@@ -41,6 +39,8 @@ from repro.runtime import (
     resolve_runner,
     usable_cpus,
 )
+
+from .conftest import StopAfter
 
 GAMMA = PayoffVector(0.0, 0.0, 1.0, 0.5)
 
@@ -257,10 +257,10 @@ def test_balance_profile_passes_sampler_and_early_stop_through():
     assert len(calls) == 2 * 60  # the sampler drove every execution
     assert all(full.per_t[t].n_runs == 60 for t in (1, 2))
 
-    # Early stopping: width 2.0 is satisfied at the first chunk boundary
+    # Early stopping: the rule fires at the first chunk boundary
     # (default chunk size 16 for a 60-run budget), so every per-t estimate
     # halts well short of the full budget.
-    rule = CiWidthStop(GAMMA, width=2.0, min_runs=8)
+    rule = StopAfter(8)
     stopped = balance_profile(
         protocol, factories, GAMMA, n_runs=60, seed=1,
         input_sampler=sampler, runner=SerialRunner(fault=NO_FAULTS),
@@ -303,7 +303,7 @@ def test_reconstruction_identical_across_backends():
 def test_early_stop_spends_less_than_budget():
     protocol = Opt2SfeProtocol(make_swap(8))
     factory = strategy_space_for_protocol(protocol)[1]
-    rule = UtilityBoundStop(GAMMA, bound=0.95, min_runs=32)
+    rule = StopAfter(32)
     counts = run_batch(protocol, factory, 400, seed=3, early_stop=rule)
     assert counts.total < 400
     assert counts.run_stats.stopped_early
@@ -317,7 +317,7 @@ def test_early_stop_spends_less_than_budget():
 def test_early_stop_same_cutoff_serial_and_pool():
     protocol = Opt2SfeProtocol(make_swap(8))
     factory = strategy_space_for_protocol(protocol)[1]
-    rule = UtilityBoundStop(GAMMA, bound=0.95, min_runs=16)
+    rule = StopAfter(100)
     serial = run_batch(
         protocol, factory, 300, seed=8, runner=SerialRunner(chunk_size=25),
         early_stop=rule,
@@ -327,7 +327,7 @@ def test_early_stop_same_cutoff_serial_and_pool():
         early_stop=rule,
     )
     assert serial == parallel
-    assert serial.total < 300
+    assert serial.total == 100
 
     # Chunk boundaries are deterministic, so the cutoff is stable.
     again = run_batch(
@@ -337,10 +337,10 @@ def test_early_stop_same_cutoff_serial_and_pool():
     assert again == serial
 
 
-def test_ci_width_stop():
+def test_estimate_reports_the_runs_an_early_stop_left():
     protocol = DummyProtocol(make_swap(8))
     factory = strategy_space_for_protocol(protocol)[0]
-    rule = CiWidthStop(GAMMA, width=2.0, min_runs=16)  # trivially wide
+    rule = StopAfter(16)
     counts = run_batch(protocol, factory, 200, seed=0, early_stop=rule)
     assert counts.total < 200
 

@@ -6,19 +6,17 @@ the dedupe contract (N concurrent identical requests → one execution,
 byte-identical payloads), monotonic chunk streaming, spec-compliant
 JSON-RPC error objects, the rate-limit and queue-full admission errors,
 and a shutdown that drains in-flight jobs without leaking threads or
-processes (the chaos harness's leak discipline).  Explicit
+processes (``conftest.leak_failure``).  Explicit
 ``fault``/rate/queue arguments keep the suite stable whatever
 ``REPRO_FAULT_*``/``REPRO_SERVICE_*`` the environment sets.
 """
 
 import http.client
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
-import textwrap
 import threading
 import time
 from contextlib import contextmanager
@@ -30,6 +28,7 @@ import repro
 from repro.adversaries import strategy_space_for_protocol
 from repro.analysis import estimate_utility
 from repro.analysis.export import estimate_to_dict, run_stats_to_dict
+from repro.cli import main
 from repro.core import PayoffVector
 from repro.functions import make_swap
 from repro.protocols import Opt2SfeProtocol
@@ -47,6 +46,8 @@ from repro.service import (
     resolve_service_queue,
     resolve_service_rate,
 )
+
+from .conftest import leak_failure
 
 GAMMA = PayoffVector(0.0, 0.0, 1.0, 0.5)
 
@@ -111,23 +112,6 @@ def _server(**kw):
     finally:
         srv.shutdown(drain=False)
         thread.join(10)
-
-
-def _leak_failure(threads_before, deadline_s=10.0):
-    """``None`` once the process is back to its pre-test footprint
-    (the chaos harness's leak check, applied to the service venue)."""
-    t_end = time.monotonic() + deadline_s
-    while True:
-        children = multiprocessing.active_children()
-        threads = threading.active_count()
-        if not children and threads <= threads_before:
-            return None
-        if time.monotonic() >= t_end:
-            return (
-                f"leaked: {len(children)} process(es), "
-                f"{max(0, threads - threads_before)} extra thread(s)"
-            )
-        time.sleep(0.05)
 
 
 def _children(pid):
@@ -646,7 +630,7 @@ class TestShutdown:
         assert job.result["run_stats"][-1]["executions"] == 128
         thread.join(10)
         assert not thread.is_alive()
-        assert _leak_failure(threads_before) is None
+        assert leak_failure(threads_before) is None
 
     def test_reply_is_written_before_the_serve_loop_returns(
         self, monkeypatch
@@ -698,7 +682,7 @@ class TestShutdown:
         pool.close(drain=False)
         assert running.state == "done"
         assert pending.state == "cancelled"
-        assert _leak_failure(threads_before) is None
+        assert leak_failure(threads_before) is None
 
 
 class TestServeCli:
@@ -744,40 +728,72 @@ class TestServeCli:
                 proc.wait()
             proc.stdout.close()
 
-    def test_shutdown_reply_survives_cpu_contention(self):
-        # Regression: `repro serve` used to exit before the handler
-        # thread flushed the service.shutdown reply (RemoteDisconnected)
-        # when that thread was starved.  A busy-loop thread inside the
-        # server process competes with it for the interpreter here.
-        serve_with_spinner = textwrap.dedent("""
-            import sys, threading
-            from repro.cli import main
+    def test_shutdown_follows_its_reply_and_serve_waits_for_it(
+        self, monkeypatch
+    ):
+        # Regression: `repro serve` could exit before the handler thread
+        # flushed the service.shutdown reply (RemoteDisconnected on the
+        # client).  The reply must be written before shutdown starts, by
+        # the thread that then runs the shutdown, and `serve` must not
+        # return while that thread still holds the shutdown.  A hook
+        # holds the handler thread inside JobPool.close until `serve`
+        # has started its own shutdown call, so the order is fixed
+        # without sleeps or clocks.
+        for key in [k for k in os.environ if k.startswith("REPRO_")]:
+            monkeypatch.delenv(key)
+        events = []
+        servers = []
+        announced = threading.Event()
+        serve_stopping = threading.Event()
+        write_reply = server_module._Handler._reply
+        real_shutdown = ServiceServer.shutdown
+        real_close = JobPool.close
 
-            def spin():
-                while True:
-                    pass
+        def reply(handler, status, body):
+            write_reply(handler, status, body)
+            events.append(("replied", threading.current_thread()))
 
-            threading.Thread(target=spin, daemon=True).start()
-            sys.exit(main(["serve", "--listen", "127.0.0.1:0"]))
-        """)
-        for attempt in range(20):
-            proc = subprocess.Popen(
-                [sys.executable, "-c", serve_with_spinner],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                env=self._env(),
-                text=True,
-            )
-            try:
-                port = json.loads(proc.stdout.readline())["port"]
-                reply = _rpc(port, "service.shutdown", {"drain": True})
-                assert reply["result"]["stopping"], attempt
-                assert proc.wait(timeout=30) == 0, attempt
-            finally:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait()
-                proc.stdout.close()
+        def shutdown(srv, drain=True):
+            if threading.current_thread() is serve_thread:
+                events.append("serve stopping")
+                serve_stopping.set()
+            else:
+                events.append(("shutdown", threading.current_thread()))
+            real_shutdown(srv, drain=drain)
+
+        def close(pool, drain=True):
+            assert serve_stopping.wait(60)
+            real_close(pool, drain=drain)
+            events.append("pool closed")
+
+        def announce(srv, out=None):
+            servers.append(srv)
+            announced.set()
+
+        monkeypatch.setattr(server_module._Handler, "_reply", reply)
+        monkeypatch.setattr(ServiceServer, "shutdown", shutdown)
+        monkeypatch.setattr(ServiceServer, "announce", announce)
+        monkeypatch.setattr(JobPool, "close", close)
+
+        def serve():
+            main(["serve", "--listen", "127.0.0.1:0"])
+            events.append("serve returned")
+
+        serve_thread = threading.Thread(target=serve, daemon=True)
+        serve_thread.start()
+        assert announced.wait(60)
+        reply = _rpc(servers[0].port, "service.shutdown", {"drain": True})
+        assert reply["result"] == {"stopping": True, "drain": True}
+        serve_thread.join(60)
+        assert not serve_thread.is_alive()
+        handler = events[0][1]
+        assert events == [
+            ("replied", handler),
+            ("shutdown", handler),
+            "serve stopping",
+            "pool closed",
+            "serve returned",
+        ]
 
     def _serve(self, *global_flags):
         proc = subprocess.Popen(

@@ -1,12 +1,11 @@
 """Start-up guard: a ``repro`` process must not load sympy.
 
 sympy's import alone costs seconds on a cold interpreter, and no run
-needs it: the cost models evaluate through integer arithmetic, and only
-``symbolic()`` / ``gk_reveal_rounds_symbolic()`` import it on demand.
-These tests start a fresh interpreter so a top-level ``import sympy``
-anywhere in the package (or its imports) shows up here.  "Loaded" means
-a module object in ``sys.modules``; a ``None`` entry (how the no-sympy
-checks block the import) counts as not loaded.
+needs it: the cost models are integer arithmetic, and the package has
+no runtime dependency.  These tests start a fresh interpreter so an
+``import sympy`` anywhere in the package (or its imports) shows up
+here.  "Loaded" means a module object in ``sys.modules``; a ``None``
+entry (how an import is blocked) counts as not loaded.
 """
 
 LOADED = "sys.modules.get('sympy') is not None"

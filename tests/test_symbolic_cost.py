@@ -1,14 +1,12 @@
 """Symbolic cost models, and chunk planning across tasks of unequal cost.
 
 Covers the closed forms in ``analysis/symbolic_cost.py`` (predictions
-must match ``measure_cost`` exactly and sympy substitution bit for bit,
-and need no sympy), the E21 claim family that pins that agreement, and
-the runtime's single chunk plan for heterogeneous batches
-(deterministic, venue-invariant, independent of predicted cost; env
-knobs; observability fields).
+must match ``measure_cost`` exactly), the E21 claim family that pins
+that agreement, and the runtime's single chunk plan for heterogeneous
+batches (deterministic, venue-invariant, independent of predicted cost;
+env knobs; observability fields).
 """
 
-import textwrap
 from dataclasses import fields
 
 import pytest
@@ -19,15 +17,13 @@ from repro.analysis.export import (
     chunk_stats_to_dict,
     run_stats_to_dict,
 )
+from repro.analysis.analytic import gk_round_count
 from repro.analysis.symbolic_cost import (
-    HAVE_SYMPY,
     SYMBOLS,
     covered,
     covered_families,
     evaluate,
-    gk_reveal_rounds_symbolic,
     model_for,
-    symbolic,
 )
 from repro.functions import make_and, make_concat, make_swap
 from repro.gmw import ThresholdGmwProtocol
@@ -100,69 +96,17 @@ class TestSymbolicModels:
         nsfe = evaluate(OptNSfeProtocol(make_concat(5, 8)))
         assert (nsfe.broadcasts, nsfe.functionality_responses) == (5, 5)
 
-    @pytest.mark.skipif(not HAVE_SYMPY, reason="needs sympy")
-    def test_evaluate_matches_sympy_substitution(self):
-        # evaluate() is integer arithmetic; the closed forms it must agree
-        # with are the sympy expressions, substituted at the bound values.
-        import sympy
-
-        for protocol in _zoo():
-            model = model_for(protocol)
-            binding = {
-                sympy.Symbol(name, positive=True, integer=True): value
-                for name, value in model.bind(protocol).items()
-            }
-            exprs = symbolic(model)
-            predicted = evaluate(protocol)
-            assert len(exprs) == 4
-            for key, expr in exprs.items():
-                assert getattr(predicted, key) == int(expr.subs(binding)), (
-                    protocol.name, key,
-                )
-
-    def test_runs_without_sympy(self, fresh_python):
-        # With sympy unimportable, every E21 claim still passes and only
-        # the symbolic inspection entry points refuse to work.
-        out = fresh_python(textwrap.dedent("""
-            import sys
-            sys.modules["sympy"] = None
-            from repro.analysis.symbolic_cost import (
-                HAVE_SYMPY, gk_reveal_rounds_symbolic, model_for, symbolic)
-            from repro.functions import make_and
-            from repro.protocols import GordonKatzProtocol
-            from repro.verify import verify_claims
-
-            assert not HAVE_SYMPY
-            report = verify_claims("E21", budget="small", seed="no-sympy")
-            print(*[c.verdict.value for c in report.checks])
-            model = model_for(GordonKatzProtocol(make_and(), p=2))
-            for call in (lambda: symbolic(model), gk_reveal_rounds_symbolic):
-                try:
-                    call()
-                except RuntimeError as exc:
-                    assert "sympy is not installed" in str(exc)
-                else:
-                    raise AssertionError("ran without sympy")
-        """))
-        assert out.split() == ["ok"] * 6
-
-    @pytest.mark.skipif(not HAVE_SYMPY, reason="needs sympy")
     def test_symbolic_expressions_substitute(self):
-        import sympy
-
+        # The closed forms are plain integer callables: substitute R.
         model = model_for(GordonKatzProtocol(make_and(), p=2))
-        exprs = symbolic(model)
-        R = sympy.Symbol("R", positive=True, integer=True)
-        assert exprs["rounds"] == R + 2
-        assert exprs["point_to_point_messages"] == 2 * R
-        assert int(exprs["rounds"].subs({R: 80})) == 82
+        assert model.params == ("R",)
+        assert model.rounds(80) == 82
+        assert model.point_to_point(80) == 160
         # The round parameter's own closed form (Theorems 23/24 shapes).
-        p = sympy.Symbol("p", positive=True, integer=True)
-        m = sympy.Symbol("m", positive=True, integer=True)
-        assert gk_reveal_rounds_symbolic("domain") == 20 * p * m
-        assert gk_reveal_rounds_symbolic("range") == 20 * p ** 2 * m
+        assert gk_round_count(3, 4, "domain") == 20 * 3 * 4
+        assert gk_round_count(3, 4, "range") == 20 * 3 ** 2 * 4
         with pytest.raises(ValueError):
-            gk_reveal_rounds_symbolic("bogus")
+            gk_round_count(3, 4, "bogus")
 
     def test_every_model_param_is_in_the_glossary(self):
         for protocol in _zoo():
