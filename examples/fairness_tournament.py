@@ -21,7 +21,6 @@ Run:  python examples/fairness_tournament.py [--runs 300] [--jobs 4]
 
 import argparse
 import time
-from dataclasses import replace
 
 from repro.adversaries import strategy_space_for_protocol
 from repro.analysis import assess_protocol, build_order, format_table
@@ -41,6 +40,7 @@ from repro.runtime import (
     resolve_jobs,
     resolve_runner,
 )
+from repro.runtime.config import knob
 
 GAMMAS = {
     "standard (γ10=1, γ11=0.5)": STANDARD_GAMMA,
@@ -129,11 +129,9 @@ def main() -> None:
     args = parser.parse_args()
 
     jobs = resolve_jobs(args.jobs)
-    retry = RetryPolicy.from_env()
-    if args.max_retries is not None:
-        retry = replace(retry, max_retries=max(0, args.max_retries))
+    retry = RetryPolicy(max_retries=knob("REPRO_MAX_RETRIES", args.max_retries))
     fault = (
-        FaultSpec(rate=min(args.fault_rate, 1.0), seed="tournament-faults")
+        FaultSpec(rate=args.fault_rate, seed="tournament-faults")
         if args.fault_rate > 0
         else None
     )

@@ -34,15 +34,16 @@ recomputing them.  ``--journal DIR``
 completed chunk partial is durably stored, and every run replays the
 spans ``DIR`` already holds instead of recomputing them, so rerunning an
 interrupted command with the same ``--journal`` resumes it — the result
-is byte-identical to an uninterrupted run.  ``--backend``
-(or ``REPRO_BACKEND``) selects the execution engine: ``auto`` (default)
-hands the chunks of an eligible (protocol, strategy) combination to its
-vectorized chunk kernel and runs everything else on the reference state
-machine, ``reference`` forces the state machine, ``vectorized`` asserts
-eligibility and fails loudly on any non-vectorizable task or kernel
-failure — all three produce bit-identical results.  ``--chunk-size`` (or
-``REPRO_CHUNK_SIZE``) pins the chunk size instead of deriving it from
-``--runs``.
+is byte-identical to an uninterrupted run.  ``--backend`` selects the
+execution engine: ``auto`` (default) hands the chunks of an eligible
+(protocol, strategy) combination to its vectorized chunk kernel and
+runs everything else on the reference state machine, ``reference``
+forces the state machine, ``vectorized`` asserts eligibility and fails
+loudly on any non-vectorizable task or kernel failure — all three
+produce bit-identical results.  ``--chunk-size`` pins the chunk size
+instead of deriving it from ``--runs``.  The ``REPRO_*`` environment
+knobs are the rows of ``runtime.config.KNOBS``; an unknown one is an
+error.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Dict, List
 
 from .adversaries import (
@@ -80,6 +80,7 @@ from .core import (
 )
 from .functions import make_concat, make_contract_exchange, make_swap
 from .runtime import RetryPolicy, resolve_cache, resolve_journal, resolve_runner
+from .runtime.config import KNOBS, check_environment, knob
 
 
 def _protocol_registry(n: int) -> Dict[str, object]:
@@ -123,16 +124,6 @@ def _protocol_registry(n: int) -> Dict[str, object]:
     return registry
 
 
-def _parse_jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if jobs < 0:
-        raise argparse.ArgumentTypeError("jobs must be non-negative")
-    return jobs
-
-
 def _parse_rates(text: str) -> List[float]:
     try:
         rates = [float(x) for x in text.split(",") if x.strip()]
@@ -169,15 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", default="cli", help="random seed")
     parser.add_argument(
         "--jobs",
-        type=_parse_jobs,
+        type=KNOBS["REPRO_JOBS"].parse,
         default=None,
         help="forked worker processes for Monte-Carlo batches on this "
-        "host (default: $REPRO_JOBS or 1; 0 or REPRO_JOBS=auto = every "
-        "CPU this process may run on)",
+        "host (default: $REPRO_JOBS or 1; 0 or auto = every CPU this "
+        "process may run on)",
     )
     parser.add_argument(
         "--max-retries",
-        type=int,
+        type=KNOBS["REPRO_MAX_RETRIES"].parse,
         default=None,
         help="in-pool retries per failed chunk before degrading to "
         "in-process replay (default: $REPRO_MAX_RETRIES or 2)",
@@ -187,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="per-chunk wall-clock deadline in seconds for pool backends "
-        "(default: $REPRO_CHUNK_TIMEOUT or no deadline)",
+        "(default: no deadline)",
     )
     parser.add_argument(
         "--cache",
@@ -211,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "reference", "vectorized"),
         default=None,
         help="execution backend for Monte-Carlo chunks (default: "
-        "$REPRO_BACKEND or auto); 'auto' uses the vectorized chunk "
+        "auto); 'auto' uses the vectorized chunk "
         "kernels for eligible (protocol, strategy) combinations and "
         "the state machine for the rest, 'vectorized' asserts "
         "eligibility, 'reference' always steps the state machine",
@@ -221,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="runs per chunk (default: $REPRO_CHUNK_SIZE or derived from "
-        "the run count)",
+        help="runs per chunk (default: derived from the run count)",
     )
     parser.add_argument(
         "--stats",
@@ -338,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps the subparser from clobbering a pre-subcommand value.
     verify.add_argument(
         "--jobs",
-        type=_parse_jobs,
+        type=KNOBS["REPRO_JOBS"].parse,
         default=argparse.SUPPRESS,
         help=argparse.SUPPRESS,
     )
@@ -737,9 +727,6 @@ def cmd_serve(args, registry) -> str:
             workers=args.service_workers,
         )
         server.bind()
-    except ValueError as exc:
-        # Malformed REPRO_SERVICE_* knobs: a usage error, like argparse's.
-        raise SystemExit(f"repro: {exc}")
     except OSError as exc:
         raise SystemExit(f"repro: cannot bind {host}:{port}: {exc}")
     server.announce()
@@ -768,17 +755,20 @@ COMMANDS = {
 
 def _build_runner(args):
     """One runner for the whole command, so ``--stats`` sees every batch."""
-    # Every knob parsed here (REPRO_CHUNK_TIMEOUT, REPRO_JOBS,
-    # REPRO_CHUNK_SIZE, ...) raises ValueError naming itself; at the CLI
-    # surface that is a usage error, reported like argparse's own.
+    # The edge check: an unknown REPRO_* variable, or a garbage or
+    # out-of-range knob from the environment or a flag, raises a
+    # ValueError naming its variable or flag; at the CLI surface that is
+    # a one-line usage error.  The service knobs are checked here too.
     try:
-        retry = RetryPolicy.from_env()
-        if args.max_retries is not None:
-            retry = replace(retry, max_retries=max(0, args.max_retries))
-        if args.chunk_timeout is not None:
-            retry = replace(retry, chunk_timeout_s=args.chunk_timeout)
+        check_environment()
+        retry = RetryPolicy(
+            max_retries=knob(
+                "REPRO_MAX_RETRIES", args.max_retries, "--max-retries"
+            ),
+            chunk_timeout_s=args.chunk_timeout,
+        )
         return resolve_runner(
-            args.jobs,
+            knob("REPRO_JOBS", args.jobs, "--jobs"),
             chunk_size=args.chunk_size,
             retry=retry,
             cache=resolve_cache(args.cache),

@@ -39,19 +39,10 @@ The zero-rate models are strict no-ops: :attr:`EngineFaults.active` is
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional
 
 from ..crypto.prf import Rng
-
-#: Environment knobs consulted by :meth:`EngineFaults.from_env`.
-ENV_CHANNEL_LOSS = "REPRO_CHANNEL_LOSS"
-ENV_CHANNEL_DELAY = "REPRO_CHANNEL_DELAY"
-ENV_CHANNEL_DUP = "REPRO_CHANNEL_DUP"
-ENV_BROADCAST_LOSS = "REPRO_BROADCAST_LOSS"
-ENV_CRASH_RATE = "REPRO_CRASH_RATE"
-ENV_ENGINE_FAULT_SEED = "REPRO_ENGINE_FAULT_SEED"
 
 #: Transcript annotations the engine attaches to per-attempt log entries.
 ANNOTATION_DROPPED = "dropped"
@@ -234,49 +225,6 @@ class EngineFaults:
                 "seed": repr(self.party.seed),
             }
         return out
-
-    @classmethod
-    def from_env(cls) -> Optional["EngineFaults"]:
-        """Faults implied by the ``REPRO_CHANNEL_*``/``REPRO_CRASH_RATE``
-        knobs; ``None`` when no engine fault injection is configured.
-
-        Deliberately *not* consulted by the plain estimator entry points:
-        measured event distributions are the scientific output, and an
-        environment variable silently corrupting every measurement would be
-        a footgun.  Fault-aware call sites (the ``fault-sensitivity``
-        command, the engine-fault tests) opt in explicitly.
-        """
-
-        def rate(name: str) -> float:
-            raw = os.environ.get(name, "").strip()
-            if not raw:
-                return 0.0
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ValueError(f"{name} must be a float, got {raw!r}")
-            _check_rate(name, value)
-            return value
-
-        loss = rate(ENV_CHANNEL_LOSS)
-        delay = rate(ENV_CHANNEL_DELAY)
-        dup = rate(ENV_CHANNEL_DUP)
-        bcast = rate(ENV_BROADCAST_LOSS)
-        crash = rate(ENV_CRASH_RATE)
-        seed: object = os.environ.get(ENV_ENGINE_FAULT_SEED, "").strip() or 0
-        channel = None
-        if loss or delay or dup or bcast:
-            channel = ChannelFaultModel(
-                loss=loss,
-                delay=delay,
-                duplicate=dup,
-                broadcast_loss=bcast,
-                seed=seed,
-            )
-        party = PartyFaultModel(crash_rate=crash, seed=seed) if crash else None
-        if channel is None and party is None:
-            return None
-        return cls(channel=channel, party=party)
 
 
 #: Explicitly disable engine fault injection (a strict no-op config).

@@ -17,7 +17,6 @@ reference results bit-for-bit.  See docs/architecture.md ("Measurement runtime" 
 
 from .cache import (
     CACHE_SCHEMA_VERSION,
-    ENV_CACHE_DIR,
     PHASES,
     ChunkCache,
     instrumentation_delta,
@@ -26,11 +25,6 @@ from .cache import (
 )
 from .early_stop import EarlyStopRule
 from .retry import (
-    ENV_CHUNK_TIMEOUT,
-    ENV_FAULT_KIND,
-    ENV_FAULT_RATE,
-    ENV_FAULT_SEED,
-    ENV_MAX_RETRIES,
     NO_FAULTS,
     ChunkTimeout,
     FaultSpec,
@@ -39,8 +33,6 @@ from .retry import (
     run_task_chunk,
 )
 from .runner import (
-    ENV_CHUNK_SIZE,
-    REPRO_JOBS_ENV,
     SMALL_BATCH_THRESHOLD,
     BatchRunner,
     ProcessPoolRunner,
@@ -50,7 +42,7 @@ from .runner import (
     resolve_runner,
     usable_cpus,
 )
-from .journal import ENV_JOURNAL_DIR, RunJournal, resolve_journal
+from .journal import RunJournal, resolve_journal
 from .stats import ChunkStats, MeasuredCounts, RunStats
 from .tasks import (
     ExecutionTask,
@@ -60,7 +52,6 @@ from .tasks import (
 )
 from .vectorized import (
     BACKENDS,
-    ENV_BACKEND,
     BackendError,
     resolve_backend,
     vectorizable,
@@ -88,26 +79,16 @@ __all__ = [
     "merge_partials",
     "plan_chunks",
     "resolve_chunk_size",
-    "ENV_CHUNK_SIZE",
-    "REPRO_JOBS_ENV",
     "SMALL_BATCH_THRESHOLD",
-    "ENV_MAX_RETRIES",
-    "ENV_CHUNK_TIMEOUT",
-    "ENV_FAULT_RATE",
-    "ENV_FAULT_KIND",
-    "ENV_FAULT_SEED",
     "ChunkCache",
     "resolve_cache",
     "instrumentation_snapshot",
     "instrumentation_delta",
     "PHASES",
-    "ENV_CACHE_DIR",
     "CACHE_SCHEMA_VERSION",
     "RunJournal",
     "resolve_journal",
-    "ENV_JOURNAL_DIR",
     "BACKENDS",
-    "ENV_BACKEND",
     "BackendError",
     "resolve_backend",
     "vectorizable",

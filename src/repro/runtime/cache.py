@@ -54,9 +54,7 @@ from typing import Optional, Tuple
 
 from ..crypto.prf import encode_seed
 from .codec import WireError, decode_partial, encode_partial
-
-#: Environment variable naming the chunk-cache directory (opt-in).
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"
+from .config import knob
 
 #: Bumped whenever the meaning of a stored partial changes (event
 #: vocabulary, classifier semantics, chunk planning) **or** the on-disk
@@ -306,6 +304,5 @@ class ChunkCache:
 
 def resolve_cache(path=None) -> Optional[ChunkCache]:
     """Explicit path > ``REPRO_CACHE_DIR`` > no cache."""
-    if path is None:
-        path = os.environ.get(ENV_CACHE_DIR, "").strip() or None
+    path = knob("REPRO_CACHE_DIR", path)
     return ChunkCache(path) if path is not None else None

@@ -22,14 +22,11 @@ content identity) are never journaled.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Optional
 
 from .cache import chunk_key, count_entries, read_entry, write_entry
-
-#: Environment variable naming the journal directory (opt-in).
-ENV_JOURNAL_DIR = "REPRO_JOURNAL_DIR"
+from .config import knob
 
 
 class RunJournal:
@@ -74,6 +71,5 @@ class RunJournal:
 
 def resolve_journal(path=None) -> Optional[RunJournal]:
     """Explicit path > ``REPRO_JOURNAL_DIR`` > no journal."""
-    if path is None:
-        path = os.environ.get(ENV_JOURNAL_DIR, "").strip() or None
+    path = knob("REPRO_JOURNAL_DIR", path)
     return RunJournal(path) if path is not None else None

@@ -21,10 +21,10 @@ Two pieces live here:
   ``(spec.seed, t, s, a)``, so the parent and every worker agree on the
   fault pattern and injected failures are reproducible across platforms.
 
-Both have ``from_env`` constructors (``REPRO_MAX_RETRIES``,
-``REPRO_CHUNK_TIMEOUT``, ``REPRO_FAULT_RATE``, ``REPRO_FAULT_KIND``,
-``REPRO_FAULT_SEED``) so CI can run the whole suite with faults enabled
-without touching any call site.
+A runner given neither builds them from the ``REPRO_MAX_RETRIES`` and
+``REPRO_FAULT_RATE``/``_KIND``/``_SEED`` knobs (``runtime.config``), so
+CI can run the whole suite with faults enabled without touching any
+call site.
 """
 
 from __future__ import annotations
@@ -36,15 +36,7 @@ from typing import Optional
 
 from ..crypto.prf import Rng
 from .cache import PHASES, chunk_key
-
-#: Retry/timeout environment knobs (no explicit argument wins over these).
-ENV_MAX_RETRIES = "REPRO_MAX_RETRIES"
-ENV_CHUNK_TIMEOUT = "REPRO_CHUNK_TIMEOUT"
-
-#: Fault-injection environment knobs.
-ENV_FAULT_RATE = "REPRO_FAULT_RATE"
-ENV_FAULT_KIND = "REPRO_FAULT_KIND"
-ENV_FAULT_SEED = "REPRO_FAULT_SEED"
+from .config import KNOBS, knob
 
 
 class InjectedFault(RuntimeError):
@@ -68,52 +60,19 @@ class RetryPolicy:
     awaited, with queue wait excluded while the chunk has not started.
     """
 
-    max_retries: int = 2
+    max_retries: int = KNOBS["REPRO_MAX_RETRIES"].default
     backoff_s: float = 0.05
     backoff_multiplier: float = 2.0
     chunk_timeout_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
+        knob("REPRO_MAX_RETRIES", self.max_retries, "max_retries")
         if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
             raise ValueError("chunk_timeout_s must be positive (or None)")
 
     def backoff_for(self, attempt: int) -> float:
         """Seconds to sleep before re-submission number ``attempt`` (1-based)."""
         return self.backoff_s * self.backoff_multiplier ** max(0, attempt - 1)
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Policy implied by ``REPRO_MAX_RETRIES``/``REPRO_CHUNK_TIMEOUT``."""
-        retries = cls.max_retries
-        raw = os.environ.get(ENV_MAX_RETRIES, "").strip()
-        if raw:
-            try:
-                retries = int(raw)
-            except ValueError:
-                raise ValueError(f"{ENV_MAX_RETRIES} must be an integer, got {raw!r}")
-        timeout: Optional[float] = None
-        raw = os.environ.get(ENV_CHUNK_TIMEOUT, "").strip()
-        if raw:
-            try:
-                timeout = float(raw)
-            except ValueError:
-                raise ValueError(f"{ENV_CHUNK_TIMEOUT} must be a float, got {raw!r}")
-            if timeout <= 0:
-                # Consistent with __post_init__: a non-positive deadline
-                # is a configuration error, not "wait forever" (unset
-                # the variable to disable the deadline).
-                raise ValueError(
-                    f"{ENV_CHUNK_TIMEOUT} must be positive, got {raw!r} "
-                    "(unset it to disable the chunk deadline)"
-                )
-        return cls(max_retries=max(0, retries), chunk_timeout_s=timeout)
-
-
-#: Supported failure modes: raise in the worker, kill the worker process
-#: (provokes ``BrokenProcessPool``), or stall past the chunk deadline.
-FAULT_KINDS = ("raise", "exit", "sleep")
 
 
 @dataclass(frozen=True)
@@ -136,10 +95,8 @@ class FaultSpec:
     max_consecutive: int = 8
 
     def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("fault rate must lie in [0, 1]")
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"fault kind must be one of {FAULT_KINDS}")
+        knob("REPRO_FAULT_RATE", self.rate, "rate")
+        knob("REPRO_FAULT_KIND", self.kind, "kind")
 
     @property
     def active(self) -> bool:
@@ -158,33 +115,8 @@ class FaultSpec:
     def should_fail(self, task_index: int, start: int, attempt: int) -> bool:
         return attempt < self.fault_attempts(task_index, start)
 
-    @classmethod
-    def from_env(cls) -> Optional["FaultSpec"]:
-        """Spec implied by ``REPRO_FAULT_*``; ``None`` when injection is off."""
-        raw = os.environ.get(ENV_FAULT_RATE, "").strip()
-        if not raw:
-            return None
-        try:
-            rate = float(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_FAULT_RATE} must be a float, got {raw!r}")
-        if rate <= 0:
-            return None
-        kind = os.environ.get(ENV_FAULT_KIND, "").strip() or "raise"
-        seed: object = os.environ.get(ENV_FAULT_SEED, "").strip() or 0
-        if isinstance(seed, str):
-            # encode_seed is type-tagged, so the string "0" and the
-            # default int 0 would select *different* fault patterns;
-            # parse numeric env seeds so explicitly setting the default
-            # value is a no-op.
-            try:
-                seed = int(seed)
-            except ValueError:
-                pass
-        return cls(rate=min(rate, 1.0), kind=kind, seed=seed)
 
-
-#: Explicitly disable fault injection (overrides ``REPRO_FAULT_RATE``).
+#: Explicitly disable fault injection (overrides ``REPRO_FAULT_*``).
 NO_FAULTS = FaultSpec(rate=0.0)
 
 

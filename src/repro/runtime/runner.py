@@ -29,7 +29,7 @@ recorded in a ``finally`` so ``last_stats`` survives even a failing batch.
 
 Backend selection: an explicit ``runner=`` argument wins; otherwise
 ``jobs`` (CLI ``--jobs`` / keyword) is consulted, falling back to the
-``REPRO_JOBS`` environment variable, falling back to serial.
+``REPRO_JOBS`` knob (``runtime.config``), falling back to serial.
 """
 
 from __future__ import annotations
@@ -49,18 +49,13 @@ from .cache import (
     instrumentation_snapshot,
     resolve_cache,
 )
+from .config import knob
 from .early_stop import EarlyStopRule
 from .journal import RunJournal, resolve_journal
 from .retry import ChunkTimeout, FaultSpec, RetryPolicy, run_task_chunk
 from .stats import BatchLog, RunStats
 from .tasks import merge_partials, plan_chunks
 from .vectorized import BackendError, kernel_for, resolve_backend
-
-#: Environment variable consulted when no explicit ``jobs`` is given.
-REPRO_JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable consulted when no explicit ``chunk_size`` is given.
-ENV_CHUNK_SIZE = "REPRO_CHUNK_SIZE"
 
 #: Batches smaller than this run serially even when a pool was requested.
 SMALL_BATCH_THRESHOLD = 64
@@ -93,65 +88,18 @@ def usable_cpus() -> int:
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Effective worker count: explicit arg > ``REPRO_JOBS`` > 1.
 
-    ``0`` (or the env value ``"auto"``) means "use every CPU this process
-    may run on" (:func:`usable_cpus`).
+    ``0`` (spelled ``auto`` too) means "use every CPU this process may
+    run on" (:func:`usable_cpus`).
     """
-    if jobs is None:
-        raw = os.environ.get(REPRO_JOBS_ENV, "").strip()
-        if not raw:
-            return 1
-        if raw.lower() == "auto":
-            jobs = usable_cpus()
-        else:
-            try:
-                jobs = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{REPRO_JOBS_ENV} must be an integer or 'auto', got {raw!r}"
-                )
-            if jobs < 0:
-                # Name the variable: this value came from the environment,
-                # and "jobs must be non-negative" gives the operator no
-                # clue *which* knob to fix (cf. REPRO_CHUNK_TIMEOUT).
-                raise ValueError(
-                    f"{REPRO_JOBS_ENV} must be non-negative or 'auto', "
-                    f"got {raw!r}"
-                )
-    if jobs == 0:
-        jobs = usable_cpus()
-    if jobs < 0:
-        raise ValueError(f"jobs must be non-negative, got {jobs}")
-    return max(1, jobs)
+    return knob("REPRO_JOBS", jobs, "jobs") or usable_cpus()
 
 
 def resolve_chunk_size(chunk_size: Optional[int] = None) -> Optional[int]:
-    """Effective chunk size: explicit arg > ``REPRO_CHUNK_SIZE`` > ``None``
-    (meaning "derive from ``n_runs``" — see ``default_chunk_size``).
-
-    Mirrors the ``--chunk-size`` flag; non-numeric or non-positive
-    environment values raise a ``ValueError`` naming the variable
-    (cf. ``REPRO_JOBS``/``REPRO_CHUNK_TIMEOUT``).
-    """
-    if chunk_size is not None:
-        if chunk_size <= 0:
-            raise ValueError(
-                f"chunk size must be positive, got {chunk_size}"
-            )
-        return chunk_size
-    raw = os.environ.get(ENV_CHUNK_SIZE, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_CHUNK_SIZE} must be a positive integer, got {raw!r}"
-        )
-    if value <= 0:
-        raise ValueError(
-            f"{ENV_CHUNK_SIZE} must be a positive integer, got {raw!r}"
-        )
-    return value
+    """Validated chunk size; ``None`` means "derive from ``n_runs``" (see
+    ``default_chunk_size``)."""
+    if chunk_size is not None and chunk_size <= 0:
+        raise ValueError(f"chunk size must be positive, got {chunk_size}")
+    return chunk_size
 
 
 def resolve_runner(
@@ -166,12 +114,11 @@ def resolve_runner(
     """Build the runner implied by ``jobs``/``REPRO_JOBS``: the process
     pool above one job, serial otherwise.
 
-    ``retry``/``fault``/``cache``/``backend``/``journal``
-    default to the ``REPRO_MAX_RETRIES`` / ``REPRO_CHUNK_TIMEOUT`` /
-    ``REPRO_FAULT_*`` / ``REPRO_CACHE_DIR`` / ``REPRO_BACKEND`` /
-    ``REPRO_JOURNAL_DIR`` environment knobs.  This is the one place the
-    store directories are read from the environment: a runner built
-    directly has exactly the stores it is given.
+    ``retry``/``fault`` default to the ``REPRO_MAX_RETRIES`` /
+    ``REPRO_FAULT_*`` knobs (as for any runner), ``cache``/``journal``
+    to ``REPRO_CACHE_DIR`` / ``REPRO_JOURNAL_DIR``.  This is the one
+    place the store directories are read from the environment: a runner
+    built directly has exactly the stores it is given.
     """
     n = resolve_jobs(jobs)
     cache = cache if cache is not None else resolve_cache()
@@ -206,9 +153,16 @@ class BatchRunner:
         journal: Optional[RunJournal] = None,
     ):
         self.chunk_size = resolve_chunk_size(chunk_size)
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
-        fault = fault if fault is not None else FaultSpec.from_env()
-        self.fault = fault if fault is not None and fault.active else None
+        self.retry = retry if retry is not None else RetryPolicy(
+            max_retries=knob("REPRO_MAX_RETRIES")
+        )
+        if fault is None:
+            fault = FaultSpec(
+                rate=knob("REPRO_FAULT_RATE"),
+                kind=knob("REPRO_FAULT_KIND"),
+                seed=knob("REPRO_FAULT_SEED"),
+            )
+        self.fault = fault if fault.active else None
         #: Persistent chunk-result cache, or ``None`` for no cache.
         self.cache = cache
         #: Crash-safe run ledger (see ``runtime.journal``), or ``None``:
@@ -217,7 +171,7 @@ class BatchRunner:
         #: Execution engine policy (``auto``/``reference``/``vectorized``)
         #: — distinct from the venue (``self.backend``): the venue says
         #: *where* chunks run, the execution backend says *what* computes
-        #: them.  Explicit argument > ``REPRO_BACKEND`` > ``auto``.
+        #: them.  Explicit argument > ``auto``.
         self.exec_backend = resolve_backend(backend)
         self.last_stats: Optional[RunStats] = None
         #: Every batch's RunStats, oldest first (the CLI ``--stats`` dump).

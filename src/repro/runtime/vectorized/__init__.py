@@ -12,7 +12,7 @@ nothing beyond the standard library.
 
 Public surface:
 
-* :func:`resolve_backend` / :data:`BACKENDS` / :data:`ENV_BACKEND` — the
+* :func:`resolve_backend` / :data:`BACKENDS` — the
   ``auto``/``reference``/``vectorized`` dispatch policy;
 * :func:`kernel_for` / :func:`vectorizable` / :func:`register_kernel` —
   the vectorizability registry.
@@ -23,7 +23,6 @@ from __future__ import annotations
 from .registry import (
     BACKENDS,
     COUNTERS,
-    ENV_BACKEND,
     BackendError,
     SentinelRng,
     SentinelRngUsed,
@@ -36,7 +35,6 @@ from .registry import (
 __all__ = [
     "BACKENDS",
     "COUNTERS",
-    "ENV_BACKEND",
     "BackendError",
     "SentinelRng",
     "SentinelRngUsed",

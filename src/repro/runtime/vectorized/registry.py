@@ -15,8 +15,8 @@ per task (memoized on the task object) behind hard eligibility gates:
   reference engine.
 
 The *backend policy* — ``auto`` / ``reference`` / ``vectorized`` — comes
-from an explicit runner argument or the ``REPRO_BACKEND`` environment
-variable.  ``auto`` runs a task's chunks on its kernel when it has one
+from an explicit runner argument (CLI ``--backend``), default ``auto``.
+``auto`` runs a task's chunks on its kernel when it has one
 and on the reference engine otherwise; ``vectorized`` is an assertion
 that raises on any non-vectorizable task and on any kernel failure;
 ``reference`` never consults the registry.  The chosen engine is
@@ -26,14 +26,10 @@ visible afterwards in ``RunStats`` (``execution_backend`` /
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Optional
 
 #: Recognised backend policies, in CLI order.
 BACKENDS = ("auto", "reference", "vectorized")
-
-#: Environment variable consulted when no explicit backend is passed.
-ENV_BACKEND = "REPRO_BACKEND"
 
 #: Module-level monotonic counters, shipped through the same
 #: instrumentation snapshot/delta channel as the cache and memo counters
@@ -84,8 +80,8 @@ def register_kernel(matcher: Callable) -> Callable:
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
-    """Normalise a backend request: explicit arg, else env, else auto."""
-    value = backend or os.environ.get(ENV_BACKEND) or "auto"
+    """Normalise a backend request: explicit arg, else auto."""
+    value = backend or "auto"
     if value not in BACKENDS:
         raise BackendError(
             f"unknown backend {value!r}; expected one of {', '.join(BACKENDS)}"

@@ -10,10 +10,9 @@ pending-job pool shed overload as documented JSON-RPC errors instead of
 falling over.
 
 Module map: ``wire`` (JSON-RPC envelope + error codes), ``canonical``
-(param schemas, canonical forms, job keys), ``ratelimit`` (token bucket
-+ ``REPRO_SERVICE_*`` knobs), ``jobs`` (the deduplicating pool and
-its job processes), ``methods`` (experiment implementations),
-``server`` (HTTP front end).
+(param schemas, canonical forms, job keys), ``ratelimit`` (token
+bucket), ``jobs`` (the deduplicating pool and its job processes),
+``methods`` (experiment implementations), ``server`` (HTTP front end).
 """
 
 from .canonical import (
@@ -25,15 +24,7 @@ from .canonical import (
     job_key_canonical,
 )
 from .jobs import Job, JobPool, PoolClosed, QueueFull
-from .ratelimit import (
-    ENV_SERVICE_BURST,
-    ENV_SERVICE_QUEUE,
-    ENV_SERVICE_RATE,
-    TokenBucket,
-    resolve_service_burst,
-    resolve_service_queue,
-    resolve_service_rate,
-)
+from .ratelimit import TokenBucket
 from .server import ServiceServer
 
 __all__ = [
@@ -47,12 +38,6 @@ __all__ = [
     "JobPool",
     "PoolClosed",
     "QueueFull",
-    "ENV_SERVICE_BURST",
-    "ENV_SERVICE_QUEUE",
-    "ENV_SERVICE_RATE",
     "TokenBucket",
-    "resolve_service_burst",
-    "resolve_service_queue",
-    "resolve_service_rate",
     "ServiceServer",
 ]

@@ -51,8 +51,8 @@ from ..analysis.export import (
     deterministic_payload,
     run_stats_to_dict,
 )
+from ..runtime.config import knob
 from .methods import run_method
-from .ratelimit import resolve_service_queue
 
 #: Job lifecycle states, in order of appearance.
 JOB_STATES = ("pending", "running", "done", "failed", "cancelled")
@@ -299,7 +299,9 @@ class JobPool:
     ):
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
-        self.queue_limit = resolve_service_queue(queue_limit)
+        self.queue_limit = knob(
+            "REPRO_SERVICE_QUEUE", queue_limit, "queue_limit"
+        )
         self.runner_factory = runner_factory
         self.counters: Dict[str, int] = {
             "submitted": 0,

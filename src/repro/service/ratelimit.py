@@ -1,4 +1,4 @@
-"""Per-tenant token-bucket rate limiting and the service env knobs.
+"""Per-tenant token-bucket rate limiting.
 
 The bucket is the classic leaky token scheme: each tenant owns
 ``burst`` tokens, refilled continuously at ``rate`` tokens/second; a
@@ -8,87 +8,19 @@ as ``data.retry_after_s`` on the ``RATE_LIMITED`` JSON-RPC error).
 Tenants are independent buckets, so one hot client cannot starve the
 rest; the clock is injectable so the tests need no sleeps.
 
-Environment knobs follow the runtime's convention (explicit argument >
-environment > default; malformed values raise ``ValueError`` naming the
-variable — cf. ``REPRO_JOBS``/``REPRO_CHUNK_TIMEOUT``):
-
-``REPRO_SERVICE_RATE``
-    Tokens per second per tenant (positive float, default 20).
-``REPRO_SERVICE_BURST``
-    Bucket capacity per tenant (positive integer, default 40).
-``REPRO_SERVICE_QUEUE``
-    Maximum pending + running jobs in the pool before submissions get
-    ``QUEUE_FULL`` (positive integer, default 16).
+The limits default to the ``REPRO_SERVICE_RATE`` (tokens per second per
+tenant, default 20), ``REPRO_SERVICE_BURST`` (bucket capacity per
+tenant, default 40) and ``REPRO_SERVICE_QUEUE`` (pending + running jobs
+before ``QUEUE_FULL``, default 16) knobs of ``runtime.config``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Callable, Dict, Optional
 
-ENV_SERVICE_RATE = "REPRO_SERVICE_RATE"
-ENV_SERVICE_BURST = "REPRO_SERVICE_BURST"
-ENV_SERVICE_QUEUE = "REPRO_SERVICE_QUEUE"
-
-DEFAULT_RATE = 20.0
-DEFAULT_BURST = 40
-DEFAULT_QUEUE = 16
-
-
-def resolve_service_rate(rate: Optional[float] = None) -> float:
-    """Tokens/second per tenant: explicit > ``REPRO_SERVICE_RATE`` > 20."""
-    if rate is not None:
-        if rate <= 0:
-            raise ValueError(f"service rate must be positive, got {rate}")
-        return float(rate)
-    raw = os.environ.get(ENV_SERVICE_RATE, "").strip()
-    if not raw:
-        return DEFAULT_RATE
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_SERVICE_RATE} must be a positive number, got {raw!r}"
-        )
-    if value <= 0:
-        raise ValueError(
-            f"{ENV_SERVICE_RATE} must be a positive number, got {raw!r}"
-        )
-    return value
-
-
-def _resolve_positive_int(value: Optional[int], env: str, default: int,
-                          what: str) -> int:
-    if value is not None:
-        if value < 1:
-            raise ValueError(f"{what} must be a positive integer, got {value}")
-        return int(value)
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    try:
-        parsed = int(raw)
-    except ValueError:
-        raise ValueError(f"{env} must be a positive integer, got {raw!r}")
-    if parsed < 1:
-        raise ValueError(f"{env} must be a positive integer, got {raw!r}")
-    return parsed
-
-
-def resolve_service_burst(burst: Optional[int] = None) -> int:
-    """Bucket capacity: explicit > ``REPRO_SERVICE_BURST`` > 40."""
-    return _resolve_positive_int(
-        burst, ENV_SERVICE_BURST, DEFAULT_BURST, "service burst"
-    )
-
-
-def resolve_service_queue(limit: Optional[int] = None) -> int:
-    """Pool depth bound: explicit > ``REPRO_SERVICE_QUEUE`` > 16."""
-    return _resolve_positive_int(
-        limit, ENV_SERVICE_QUEUE, DEFAULT_QUEUE, "service queue limit"
-    )
+from ..runtime.config import knob
 
 
 class TokenBucket:
@@ -100,8 +32,8 @@ class TokenBucket:
         burst: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        self.rate = resolve_service_rate(rate)
-        self.burst = resolve_service_burst(burst)
+        self.rate = knob("REPRO_SERVICE_RATE", rate, "rate")
+        self.burst = knob("REPRO_SERVICE_BURST", burst, "burst")
         self._clock = clock
         self._lock = threading.Lock()
         #: tenant -> (tokens available, clock reading of last refill)

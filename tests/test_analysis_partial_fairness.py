@@ -252,7 +252,6 @@ class TestLeakyKernel:
             leaky_distinguisher_probabilities(40, 5),
             leaky_real_views(40, 5),
         )
-        monkeypatch.setenv("REPRO_CHANNEL_LOSS", "0.5")
         monkeypatch.setenv("REPRO_FAULT_RATE", "0.5")
         assert (
             leaky_distinguisher_probabilities(40, 5),

@@ -18,7 +18,6 @@ from repro.gmw import gmw_from_spec
 from repro.protocols import Opt2SfeProtocol
 from repro.runtime import (
     CACHE_SCHEMA_VERSION,
-    ENV_CACHE_DIR,
     ChunkCache,
     ExecutionTask,
     ProcessPoolRunner,
@@ -342,13 +341,13 @@ class TestChunkCacheCorrectness:
 
 class TestCacheOptIn:
     def test_no_env_no_cache(self, monkeypatch):
-        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert resolve_cache() is None
         assert SerialRunner().cache is None
         assert resolve_runner(1).cache is None
 
     def test_env_enables_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cache = resolve_cache()
         assert cache is not None and cache.root == tmp_path
         assert resolve_runner(1).cache.root == tmp_path
@@ -357,14 +356,14 @@ class TestCacheOptIn:
     def test_explicit_runner_ignores_the_env(self, tmp_path, monkeypatch):
         """Only resolve_runner reads the store variables: a runner built
         directly with ``cache=None`` has no store at all."""
-        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "journal"))
         runner = SerialRunner(cache=None)
         assert runner.cache is None and runner.journal is None
         assert ProcessPoolRunner(2).cache is None
 
     def test_explicit_path_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "env"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
         cache = resolve_cache(tmp_path / "explicit")
         assert cache.root == tmp_path / "explicit"
 
@@ -472,7 +471,7 @@ class TestCliCache:
         ``REPRO_CACHE_DIR`` set it neither reads nor fills the cache."""
         from repro.cli import main
 
-        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         main(["--runs", "20", "profile", "opt-2sfe", "--top", "5"])
         assert "phases:" in capsys.readouterr().out
         assert len(ChunkCache(tmp_path)) == 0

@@ -123,6 +123,49 @@ class TestRuntimeFlags:
         assert capsys.readouterr().err.startswith("usage: repro")
 
 
+class TestKnobErrors:
+    """A knob out of range, from the environment or a flag, is a
+    one-line error naming its source; none is clamped or ignored."""
+
+    @pytest.mark.parametrize("var,raw,argv,source", [
+        ("REPRO_MAX_RETRIES", "-3", [], "REPRO_MAX_RETRIES"),
+        (None, None, ["--max-retries", "-3"], "--max-retries"),
+        ("REPRO_FAULT_RATE", "7", [], "REPRO_FAULT_RATE"),
+        ("REPRO_FAULT_RATE", "-0.5", [], "REPRO_FAULT_RATE"),
+        (None, None, ["--jobs", "-1"], "--jobs"),
+    ])
+    def test_out_of_range_is_an_error(self, monkeypatch, capsys, var, raw,
+                                      argv, source):
+        if var:
+            monkeypatch.setenv(var, raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["--runs", "20", *argv, "attack", "dummy"])
+        message = str(exc.value.code)
+        assert message.startswith(f"repro: {source} must be ")
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("var,raw", [
+        ("REPRO_CHANNEL_LOSS", "0.1"),
+        ("REPRO_BACKEND", "reference"),
+    ])
+    def test_removed_knob_is_an_error(self, monkeypatch, capsys, var, raw):
+        monkeypatch.setenv(var, raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["--runs", "20", "attack", "dummy"])
+        message = str(exc.value.code)
+        assert message.startswith(f"repro: unknown environment variable {var};")
+        assert "REPRO_JOBS" in message and "\n" not in message
+        assert capsys.readouterr().out == ""
+
+    def test_jobs_flag_and_env_accept_the_same_spellings(self, monkeypatch):
+        parser = build_parser()
+        assert parser.parse_args(["--jobs", "auto", "zoo"]).jobs == 0
+        assert parser.parse_args(["verify", "--jobs", "AUTO"]).jobs == 0
+        monkeypatch.setenv("REPRO_JOBS", "auto")
+        assert main(["zoo"]) == 0
+
+
 class TestJournalFlags:
     def test_journal_parses(self):
         parser = build_parser()
@@ -148,11 +191,11 @@ class TestJournalFlags:
             assert capsys.readouterr().err.startswith("usage: repro")
 
     def test_garbage_env_knobs_exit_cleanly(self, monkeypatch):
-        # Satellite contract: every runtime env knob fails as a one-line
-        # usage error naming itself, not a traceback from the runner.
+        # Every env knob fails as a one-line usage error naming itself,
+        # not a traceback from the runner.
         for var, raw in [
             ("REPRO_JOBS", "many"),
-            ("REPRO_CHUNK_SIZE", "some"),
+            ("REPRO_FAULT_KIND", "boom"),
         ]:
             monkeypatch.setenv(var, raw)
             with pytest.raises(SystemExit, match=var):

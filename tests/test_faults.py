@@ -25,14 +25,6 @@ from repro.engine import (
     PartyFaultModel,
     run_execution,
 )
-from repro.engine.faults import (
-    ENV_BROADCAST_LOSS,
-    ENV_CHANNEL_DELAY,
-    ENV_CHANNEL_DUP,
-    ENV_CHANNEL_LOSS,
-    ENV_CRASH_RATE,
-    ENV_ENGINE_FAULT_SEED,
-)
 from repro.engine.party import PartyMachine
 from repro.engine.protocol import Protocol
 from repro.functions import make_and, make_concat, make_swap
@@ -49,21 +41,6 @@ from repro.runtime import (
 )
 
 GAMMA = PayoffVector(0.0, 0.0, 1.0, 0.5)
-
-_ENV_KNOBS = (
-    ENV_CHANNEL_LOSS,
-    ENV_CHANNEL_DELAY,
-    ENV_CHANNEL_DUP,
-    ENV_BROADCAST_LOSS,
-    ENV_CRASH_RATE,
-    ENV_ENGINE_FAULT_SEED,
-)
-
-
-def _clear_env(monkeypatch):
-    for var in _ENV_KNOBS:
-        monkeypatch.delenv(var, raising=False)
-
 
 def _mixed_faults(seed, loss=0.3, crash=0.2):
     return EngineFaults(
@@ -256,31 +233,6 @@ class TestEngineFaults:
         assert out["party"]["crash_rate"] == 0.2
         assert "seed" in out["channel"] and "seed" in out["party"]
         assert NO_ENGINE_FAULTS.to_dict() == {}
-
-    def test_from_env_unset_is_none(self, monkeypatch):
-        _clear_env(monkeypatch)
-        assert EngineFaults.from_env() is None
-
-    def test_from_env_builds_models(self, monkeypatch):
-        _clear_env(monkeypatch)
-        monkeypatch.setenv(ENV_CHANNEL_LOSS, "0.25")
-        monkeypatch.setenv(ENV_CRASH_RATE, "0.1")
-        monkeypatch.setenv(ENV_ENGINE_FAULT_SEED, "ci")
-        faults = EngineFaults.from_env()
-        assert faults.active
-        assert faults.channel.loss == 0.25
-        assert faults.channel.seed == "ci"
-        assert faults.party.crash_rate == 0.1
-
-    def test_from_env_rejects_garbage(self, monkeypatch):
-        _clear_env(monkeypatch)
-        monkeypatch.setenv(ENV_CHANNEL_LOSS, "lots")
-        with pytest.raises(ValueError):
-            EngineFaults.from_env()
-        monkeypatch.setenv(ENV_CHANNEL_LOSS, "1.5")
-        with pytest.raises(ValueError):
-            EngineFaults.from_env()
-
 
 # -- zero-rate faults: strict no-op -----------------------------------------
 

@@ -202,30 +202,18 @@ class TestGoldenTranscripts:
 
 
 def regenerate() -> None:
-    import os
-    import sys
-
     # The golden digests define what "correct" means for every backend,
-    # so they must only ever be produced by the reference engine: a
-    # REPRO_BACKEND override here would let a buggy kernel rewrite its
-    # own ground truth.  (Transcript-digest jobs are not ExecutionTasks,
-    # so the vectorized backend would fall back anyway — refusing loudly
-    # beats relying on that.)
-    backend = os.environ.get("REPRO_BACKEND", "").strip()
-    if backend and backend != "reference":
-        sys.exit(
-            f"refusing to regenerate golden transcripts under "
-            f"REPRO_BACKEND={backend!r}: digests must come from the "
-            f"reference engine (unset it or set it to 'reference')"
-        )
+    # so they come from the reference engine only.
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     golden = {
         name: {
             "seed": [SEED, name],
             "n_runs": N_RUNS,
-            "digest": compute_digest(name, SerialRunner()),
+            "digest": compute_digest(
+                name, SerialRunner(backend="reference")
+            ),
             "adversary_log_digest": compute_digest(
-                name, SerialRunner(), view="adversary_log"
+                name, SerialRunner(backend="reference"), view="adversary_log"
             ),
         }
         for name in PROTOCOL_NAMES

@@ -13,7 +13,6 @@ from repro.functions import make_swap
 from repro.protocols import Opt2SfeProtocol
 from repro.runtime import (
     CACHE_SCHEMA_VERSION,
-    ENV_JOURNAL_DIR,
     NO_FAULTS,
     ChunkCache,
     ExecutionTask,
@@ -55,7 +54,7 @@ def _entries(root):
 @pytest.fixture(autouse=True)
 def _no_ambient_journal(monkeypatch):
     """Explicit journals only: ambient env knobs must not leak in."""
-    monkeypatch.delenv(ENV_JOURNAL_DIR, raising=False)
+    monkeypatch.delenv("REPRO_JOURNAL_DIR", raising=False)
 
 
 # -- keys ---------------------------------------------------------------------
@@ -310,12 +309,12 @@ class TestResolveJournal:
         assert resolve_journal() is None
 
     def test_explicit_path_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_JOURNAL_DIR, str(tmp_path / "env"))
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "env"))
         journal = resolve_journal(tmp_path / "cli")
         assert journal.root == tmp_path / "cli"
 
     def test_env_dir_is_the_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_JOURNAL_DIR, str(tmp_path / "env"))
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "env"))
         journal = resolve_journal()
         assert journal.root == tmp_path / "env"
 

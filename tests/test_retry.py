@@ -90,41 +90,10 @@ class TestFaultSpec:
         assert NO_FAULTS.fault_attempts(0, 0) == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rate must be"):
             FaultSpec(rate=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^kind must be one of"):
             FaultSpec(rate=0.5, kind="segfault")
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
-        assert FaultSpec.from_env() is None
-        monkeypatch.setenv("REPRO_FAULT_RATE", "0")
-        assert FaultSpec.from_env() is None
-        monkeypatch.setenv("REPRO_FAULT_RATE", "0.25")
-        monkeypatch.setenv("REPRO_FAULT_KIND", "exit")
-        monkeypatch.setenv("REPRO_FAULT_SEED", "ci")
-        spec = FaultSpec.from_env()
-        assert spec.rate == 0.25 and spec.kind == "exit" and spec.seed == "ci"
-        monkeypatch.setenv("REPRO_FAULT_RATE", "nope")
-        with pytest.raises(ValueError):
-            FaultSpec.from_env()
-
-    def test_from_env_numeric_seed_matches_int_spec(self, monkeypatch):
-        """Regression: ``encode_seed`` is type-tagged, so the env string
-        "0" and the programmatic default ``seed=0`` used to produce
-        *different* fault patterns.  Numeric env seeds must parse to int."""
-        monkeypatch.setenv("REPRO_FAULT_RATE", "0.5")
-        monkeypatch.delenv("REPRO_FAULT_KIND", raising=False)
-        monkeypatch.setenv("REPRO_FAULT_SEED", "0")
-        spec = FaultSpec.from_env()
-        assert spec.seed == 0 and isinstance(spec.seed, int)
-        reference = FaultSpec(rate=0.5, seed=0)
-        pattern = [spec.fault_attempts(t, s) for t in range(4) for s in (0, 9)]
-        expected = [reference.fault_attempts(t, s) for t in range(4) for s in (0, 9)]
-        assert pattern == expected
-        # Non-numeric seeds still pass through as strings.
-        monkeypatch.setenv("REPRO_FAULT_SEED", "ci-run")
-        assert FaultSpec.from_env().seed == "ci-run"
 
     def test_run_task_chunk_injects(self):
         class Tiny:
@@ -145,37 +114,13 @@ class TestFaultSpec:
 
 
 class TestRetryPolicy:
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
-        monkeypatch.delenv("REPRO_CHUNK_TIMEOUT", raising=False)
-        policy = RetryPolicy.from_env()
-        assert policy.max_retries == 2 and policy.chunk_timeout_s is None
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "5")
-        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "1.5")
-        policy = RetryPolicy.from_env()
-        assert policy.max_retries == 5 and policy.chunk_timeout_s == 1.5
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "many")
-        with pytest.raises(ValueError):
-            RetryPolicy.from_env()
-
-    @pytest.mark.parametrize("raw", ["0", "-3", "0.0"])
-    def test_from_env_rejects_non_positive_timeout(self, monkeypatch, raw):
-        """Regression: a non-positive ``REPRO_CHUNK_TIMEOUT`` used to be
-        silently coerced to "no deadline" — the opposite of what a CI job
-        writing ``REPRO_CHUNK_TIMEOUT=0`` to tighten the ladder intended.
-        It must fail loudly, naming the variable."""
-        monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
-        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", raw)
-        with pytest.raises(ValueError, match="REPRO_CHUNK_TIMEOUT"):
-            RetryPolicy.from_env()
-
     def test_backoff_grows(self):
         policy = RetryPolicy(backoff_s=0.1, backoff_multiplier=2.0)
         assert policy.backoff_for(1) == pytest.approx(0.1)
         assert policy.backoff_for(3) == pytest.approx(0.4)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_retries must be"):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(chunk_timeout_s=0.0)

@@ -34,18 +34,9 @@ from repro.functions import make_swap
 from repro.protocols import Opt2SfeProtocol
 from repro.runtime import NO_FAULTS, SerialRunner
 from repro.runtime.cache import ChunkCache
+from repro.runtime.config import knob
 from repro.service import server as server_module
-from repro.service import (
-    ENV_SERVICE_BURST,
-    ENV_SERVICE_QUEUE,
-    ENV_SERVICE_RATE,
-    JobPool,
-    ServiceServer,
-    TokenBucket,
-    resolve_service_burst,
-    resolve_service_queue,
-    resolve_service_rate,
-)
+from repro.service import JobPool, ServiceServer, TokenBucket
 
 from .conftest import leak_failure
 
@@ -884,53 +875,28 @@ class TestServeCli:
 
 
 class TestServiceEnvKnobs:
-    """REPRO_SERVICE_* validation, matching the PR 8/9 convention."""
+    """The service knobs beside the table test in ``tests/test_config.py``
+    (which covers env values, precedence, blanks and garbage)."""
 
     def test_defaults(self, monkeypatch):
-        for var in (ENV_SERVICE_RATE, ENV_SERVICE_BURST, ENV_SERVICE_QUEUE):
+        for var in ("REPRO_SERVICE_RATE", "REPRO_SERVICE_BURST",
+                    "REPRO_SERVICE_QUEUE"):
             monkeypatch.delenv(var, raising=False)
-        assert resolve_service_rate() == 20.0
-        assert resolve_service_burst() == 40
-        assert resolve_service_queue() == 16
-
-    def test_env_values_apply(self, monkeypatch):
-        monkeypatch.setenv(ENV_SERVICE_RATE, "2.5")
-        monkeypatch.setenv(ENV_SERVICE_BURST, "7")
-        monkeypatch.setenv(ENV_SERVICE_QUEUE, "3")
-        assert resolve_service_rate() == 2.5
-        assert resolve_service_burst() == 7
-        assert resolve_service_queue() == 3
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_SERVICE_RATE, "2.5")
-        assert resolve_service_rate(9.0) == 9.0
-
-    @pytest.mark.parametrize("var,resolver", [
-        (ENV_SERVICE_RATE, resolve_service_rate),
-        (ENV_SERVICE_BURST, resolve_service_burst),
-        (ENV_SERVICE_QUEUE, resolve_service_queue),
-    ])
-    @pytest.mark.parametrize("garbage", ["lots", "", " ", "-3", "0"])
-    def test_garbage_names_the_variable(self, monkeypatch, var, resolver,
-                                        garbage):
-        monkeypatch.setenv(var, garbage)
-        if not garbage.strip():
-            resolver()  # blank means unset, not an error
-            return
-        with pytest.raises(ValueError, match=var):
-            resolver()
+        bucket = TokenBucket()
+        assert (bucket.rate, bucket.burst) == (20.0, 40)
+        assert knob("REPRO_SERVICE_QUEUE") == 16
 
     def test_explicit_garbage_raises(self):
-        with pytest.raises(ValueError):
-            resolve_service_rate(0.0)
-        with pytest.raises(ValueError):
-            resolve_service_burst(0)
-        with pytest.raises(ValueError):
-            resolve_service_queue(-1)
+        with pytest.raises(ValueError, match="^rate must be"):
+            TokenBucket(rate=0.0)
+        with pytest.raises(ValueError, match="^burst must be"):
+            TokenBucket(burst=0)
+        with pytest.raises(ValueError, match="^queue_limit must be"):
+            JobPool(queue_limit=-1)
 
     def test_server_rejects_bad_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_SERVICE_QUEUE, "many")
-        with pytest.raises(ValueError, match=ENV_SERVICE_QUEUE):
+        monkeypatch.setenv("REPRO_SERVICE_QUEUE", "many")
+        with pytest.raises(ValueError, match="REPRO_SERVICE_QUEUE"):
             ServiceServer(runner_factory=_serial)
 
 

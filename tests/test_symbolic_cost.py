@@ -36,7 +36,6 @@ from repro.protocols import (
 )
 from repro.protocols.gradual_release import RELEASE_BITS, GradualReleaseProtocol
 from repro.runtime import (
-    ENV_CHUNK_SIZE,
     ChunkStats,
     ExecutionTask,
     ProcessPoolRunner,
@@ -134,37 +133,9 @@ class TestSymbolicModels:
 
 
 class TestScheduleKnobs:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_CHUNK_SIZE, "25")
-        assert SerialRunner(chunk_size=10).chunk_size == 10
-        assert SerialRunner().chunk_size == 25
-        monkeypatch.delenv(ENV_CHUNK_SIZE)
-        assert SerialRunner().chunk_size is None
-
-    def test_chunk_size_env_mirrors_flag(self, monkeypatch):
-        monkeypatch.setenv(ENV_CHUNK_SIZE, "25")
-        assert resolve_chunk_size() == 25
-        assert resolve_chunk_size(10) == 10
-        monkeypatch.delenv(ENV_CHUNK_SIZE)
-        assert resolve_chunk_size() is None
-
-    @pytest.mark.parametrize("bad", ["0", "-3", "ten", "2.5", "1e3"])
-    def test_env_chunk_size_validation_names_the_variable(
-        self, monkeypatch, bad
-    ):
-        monkeypatch.setenv(ENV_CHUNK_SIZE, bad)
-        with pytest.raises(ValueError, match="REPRO_CHUNK_SIZE"):
-            resolve_chunk_size()
-
     def test_explicit_chunk_size_validation(self):
         with pytest.raises(ValueError, match="positive"):
             resolve_chunk_size(0)
-
-    def test_runner_reads_env_knobs(self, monkeypatch):
-        monkeypatch.setenv(ENV_CHUNK_SIZE, "17")
-        runner = SerialRunner()
-        assert runner.chunk_size == 17
-        assert runner._plan(_hetero_tasks()[0])[0] == (0, 17)
 
 
 # -- chunk planning across tasks of unequal cost ------------------------------

@@ -40,7 +40,6 @@ from repro.protocols import (
     SingleRoundProtocol,
 )
 from repro.runtime import (
-    ENV_BACKEND,
     BackendError,
     ChunkCache,
     ExecutionTask,
@@ -227,13 +226,9 @@ def test_forced_vectorized_raises_on_ineligible_task():
         assert runner.last_stats.serial_replays == 0
 
 
-def test_resolve_backend_env_and_validation(monkeypatch):
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
+def test_resolve_backend_validation():
     assert resolve_backend(None) == "auto"
     assert resolve_backend("reference") == "reference"
-    monkeypatch.setenv(ENV_BACKEND, "vectorized")
-    assert resolve_backend(None) == "vectorized"
-    assert resolve_backend("reference") == "reference"  # arg wins
     with pytest.raises(BackendError):
         resolve_backend("numba")
     assert resolve_runner(backend="reference").exec_backend == "reference"
