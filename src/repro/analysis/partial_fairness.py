@@ -204,15 +204,18 @@ _SHAREGEN = _LEAKY._template
 _SHAREGEN_LABEL = f"{GkShareGen.name}@{PROLOGUE_ROUNDS}"
 
 
-def _leaky_run(rng: Rng, view: bool = False) -> tuple:
+def _leaky_run(rng: Rng, view: bool = False, x2: int = 0) -> tuple:
     """One Π̃ run against ``LeakyInputExtractor``, from the streams it reads.
 
     Returns ``(x1, leaked, p1_output, stream)``, equal to what the
     environment gets from ``x1 = rng.fork("x1").randrange(2)`` and
-    ``run_execution(LeakyAndProtocol(), (x1, 0), extractor,
+    ``run_execution(LeakyAndProtocol(), (x1, x2), extractor,
     rng.fork("exec"))``: the extractor's ``extracted_input``, p1's output
     value, and (only when ``view`` is set, else ``None``) the corrupted
-    p2's stream-b values in the order it opens them.
+    p2's stream-b values in the order it opens them.  The measurements
+    fix ``x2 = 0``, under which every stream value is 0; the cross-check
+    against the engine also runs ``x2 = 1``, where the i* and fake draws
+    show.
 
     The engine's labelled forks depend only on their parent seed and
     label, so the kernel draws just these:
@@ -231,7 +234,7 @@ def _leaky_run(rng: Rng, view: bool = False) -> tuple:
     execution = rng.fork("exec")
     coin = execution.fork("party-0").coin(LEAK_PROBABILITY)
     leaked = x1 if coin else None
-    inputs = (x1, 0)
+    inputs = (x1, x2)
     outputs = _SHAREGEN.func.outputs_for(inputs)
     p1_output = outputs[0] & _VALUE_MASK
     if not view:

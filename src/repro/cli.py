@@ -80,7 +80,7 @@ from .core import (
 )
 from .functions import make_concat, make_contract_exchange, make_swap
 from .runtime import RetryPolicy, resolve_cache, resolve_journal, resolve_runner
-from .runtime.config import KNOBS, check_environment, knob
+from .runtime.config import KNOBS, check_environment, knob, positive
 
 
 def _protocol_registry(n: int) -> Dict[str, object]:
@@ -765,11 +765,11 @@ def _build_runner(args):
             max_retries=knob(
                 "REPRO_MAX_RETRIES", args.max_retries, "--max-retries"
             ),
-            chunk_timeout_s=args.chunk_timeout,
+            chunk_timeout_s=positive(args.chunk_timeout, "--chunk-timeout"),
         )
         return resolve_runner(
             knob("REPRO_JOBS", args.jobs, "--jobs"),
-            chunk_size=args.chunk_size,
+            chunk_size=positive(args.chunk_size, "--chunk-size"),
             retry=retry,
             cache=resolve_cache(args.cache),
             backend=args.backend,

@@ -107,6 +107,12 @@ class PrivSfeWithAbort(Functionality):
     def __init__(self, func: FunctionSpec):
         self.func = func
 
+    def _draw_i_star(self, rng: Rng, n: int) -> int:
+        """The receiving party i*, uniform over the n parties: the first
+        draw from the invocation's own stream (the key pair comes from
+        its ``sig`` fork)."""
+        return rng.randrange(n)
+
     def invoke(
         self,
         inputs: Dict[int, object],
@@ -121,7 +127,7 @@ class PrivSfeWithAbort(Functionality):
         y = outputs[0]  # global output (Appendix B transform)
         sk, vk = signature.gen(rng.fork("sig"))
         sigma = signature.sign(y, sk)
-        i_star = rng.randrange(n)
+        i_star = self._draw_i_star(rng, n)
         payloads = {
             i: PrivOutput((y, sigma) if i == i_star else ABORT, vk)
             for i in range(n)

@@ -101,10 +101,22 @@ def knob(name: str, value=None, source: Optional[str] = None):
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        raise ValueError(
-            f"{source or row.flag or name} must be {row.what}, got {value!r}"
-        )
+        raise must_be(source or row.flag or name, row.what, value)
     return parsed
+
+
+def must_be(source: str, what: str, value) -> ValueError:
+    """The one error shape: ``<source> must be <what>, got <value>``."""
+    return ValueError(f"{source} must be {what}, got {value!r}")
+
+
+def positive(value, source: str):
+    """``value`` when it is ``None`` or a positive number, else the
+    table's error naming ``source``: the runner settings that have a flag
+    but no environment variable (``--chunk-size``, ``--chunk-timeout``)."""
+    if value is not None and not value > 0:
+        raise must_be(source, "a positive number", value)
+    return value
 
 
 def check_environment() -> None:

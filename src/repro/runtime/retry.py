@@ -36,7 +36,7 @@ from typing import Optional
 
 from ..crypto.prf import Rng
 from .cache import PHASES, chunk_key
-from .config import KNOBS, knob
+from .config import KNOBS, knob, positive
 
 
 class InjectedFault(RuntimeError):
@@ -67,8 +67,7 @@ class RetryPolicy:
 
     def __post_init__(self):
         knob("REPRO_MAX_RETRIES", self.max_retries, "max_retries")
-        if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
-            raise ValueError("chunk_timeout_s must be positive (or None)")
+        positive(self.chunk_timeout_s, "chunk_timeout_s")
 
     def backoff_for(self, attempt: int) -> float:
         """Seconds to sleep before re-submission number ``attempt`` (1-based)."""

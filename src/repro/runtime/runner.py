@@ -49,7 +49,7 @@ from .cache import (
     instrumentation_snapshot,
     resolve_cache,
 )
-from .config import knob
+from .config import knob, positive
 from .early_stop import EarlyStopRule
 from .journal import RunJournal, resolve_journal
 from .retry import ChunkTimeout, FaultSpec, RetryPolicy, run_task_chunk
@@ -97,9 +97,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 def resolve_chunk_size(chunk_size: Optional[int] = None) -> Optional[int]:
     """Validated chunk size; ``None`` means "derive from ``n_runs``" (see
     ``default_chunk_size``)."""
-    if chunk_size is not None and chunk_size <= 0:
-        raise ValueError(f"chunk size must be positive, got {chunk_size}")
-    return chunk_size
+    return positive(chunk_size, "chunk_size")
 
 
 def resolve_runner(
@@ -507,15 +505,6 @@ class ProcessPoolRunner(BatchRunner):
                     self.stats_history.append(serial.last_stats)
 
         t0 = time.perf_counter()
-        if self.exec_backend != "reference":
-            # Resolve kernels before the fork: every worker inherits the
-            # memo instead of re-running the matchers (the release
-            # matcher's calibration run among them) per batch.
-            for task in tasks:
-                try:
-                    kernel_for(task)
-                except Exception:
-                    pass  # the workers meet it again inside the retry ladder
         plans = [self._plan(task) for task in tasks]
         values: List = [None] * len(tasks)
         log = BatchLog(observer=self.chunk_observer)
@@ -547,6 +536,18 @@ class ProcessPoolRunner(BatchRunner):
                         )
                         if hit:
                             journaled[(ti, start, stop)] = part
+            if self.exec_backend != "reference":
+                # Resolve kernels before the first submit forks the
+                # workers: each inherits the memo instead of re-running
+                # the matchers (and their calibration runs) per batch.
+                # A task the journal replays in full needs no kernel.
+                for ti, plan in enumerate(plans):
+                    if all((ti, *span) in journaled for span in plan):
+                        continue
+                    try:
+                        kernel_for(tasks[ti])
+                    except Exception:
+                        pass  # the workers meet it again in the retry ladder
             futures = {
                 (ti, start, stop): pool.submit(
                     _worker_run_chunk, ti, start, stop, 0, self.fault

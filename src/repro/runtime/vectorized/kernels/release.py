@@ -1,75 +1,47 @@
-"""Vectorized kernel: release-style protocols vs the lock-watching aborter.
+"""Chunk kernel: release-style protocols and Π½GMW vs the lock-watching aborter.
 
-``SingleRoundProtocol`` and ``GradualReleaseProtocol`` against
-``LockWatchingAborter`` produce a *structurally constant* fairness event:
-the aborter's coalition probe first reconstructs one step ahead at a
-round fixed by the message schedule (round 1 for the single-round
-protocol; the final bit-release round for gradual release), it then
-claims the — always correct — reconstructed output and withholds the
-corrupted share, and the honest party's next step finds an empty inbox
-and outputs ⊥.  Neither the abort round nor either side's
-learned/not-learned status depends on the run's inputs or randomness, so
-the per-run event is a constant of the ``(protocol, corruption set)``
-pair: E10 for a partial corruption, E11 when every party is corrupted
-(the all-corrupted convention), E01 for the empty coalition.
+``SingleRoundProtocol``, ``GradualReleaseProtocol`` and
+``ThresholdGmwProtocol`` against ``LockWatchingAborter`` produce a
+*structurally constant* fairness event.  For the release strawmen the
+aborter's coalition probe first reconstructs one step ahead at a round
+fixed by the message schedule (round 1 for the single-round protocol;
+the final bit-release round for gradual release), it then claims the —
+always correct — reconstructed output and withholds the corrupted share,
+and the honest party's next step finds an empty inbox and outputs ⊥.
+For Π½GMW the coalition's size alone decides it: below ⌈n/2⌉ parties
+it can neither reconstruct early nor block reconstruction (E11); from
+⌈n/2⌉ on it learns the output first (for even n from the rushed honest
+broadcasts) and withholds its own shares (E10).  Neither the abort round nor either side's
+learned/not-learned status depends on the run's inputs or randomness,
+so the per-run event is a constant of the ``(protocol, corruption set)``
+pair.
 
-Rather than hard-coding that table, the matcher *calibrates*: it runs
-one reference execution at build time and replicates its classified
-event across the chunk.  That keeps the kernel exact even if the event
-table above ever shifts, at the cost of a single reference run per task.
+Rather than hard-coding that table, the matcher calibrates: the kernel
+replicates the event of the task's own run 0, stepped on the reference
+engine at build time (:func:`.calibrated.calibrated_kernel` with a
+constant key).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ....core.events import FairnessEvent, classify
-from ....core.utility import EventCounts
-from ....crypto.prf import Rng
-from ....engine.execution import ProtocolViolation, run_execution
-
-_CALIBRATION_SEED = "repro-vectorized-release-calibration"
-
-
-def _calibrate(protocol, factory):
-    """Classify one reference run (default inputs, throwaway rng)."""
-    rng = Rng((_CALIBRATION_SEED, protocol.name))
-    inputs = protocol.func.default_inputs
-    adversary = factory(rng.fork("adversary"))
-    try:
-        result = run_execution(protocol, inputs, adversary, rng.fork("exec"))
-    except ProtocolViolation:
-        return None, None
-    if result.hung:
-        return None, None
-    event = protocol.classify_result(result)
-    if event is None:
-        event = classify(result, protocol.func)
-    return event, frozenset(result.corrupted)
+from .calibrated import calibrated_kernel
 
 
 def matcher(task, adversary) -> Optional[callable]:
-    """Kernel for the release-family protocols vs ``LockWatchingAborter``."""
+    """Kernel for the release family and Π½GMW vs ``LockWatchingAborter``."""
     from ....adversaries.aborting import LockWatchingAborter
+    from ....gmw.threshold import ThresholdGmwProtocol
     from ....protocols.gradual_release import GradualReleaseProtocol
     from ....protocols.single_round import SingleRoundProtocol
 
-    protocol = task.protocol
-    if type(protocol) not in (SingleRoundProtocol, GradualReleaseProtocol):
+    if type(task.protocol) not in (
+        SingleRoundProtocol, GradualReleaseProtocol, ThresholdGmwProtocol
+    ):
         return None
     # Exact type: subclasses (e.g. the rng-seeded random corruptor) may
     # deviate in ways the constant-event argument does not cover.
     if type(adversary) is not LockWatchingAborter:
         return None
-    event, corruption = _calibrate(protocol, task.factory)
-    if not isinstance(event, FairnessEvent):
-        return None
-
-    def kernel(start: int, stop: int) -> EventCounts:
-        n = stop - start
-        counts = EventCounts()
-        counts.counts[event] += n
-        counts.corruption_counts[corruption] = n
-        return counts
-
-    return kernel
+    return calibrated_kernel(task)

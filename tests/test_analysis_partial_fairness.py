@@ -177,12 +177,13 @@ class _ViewCollectingExtractor(LeakyInputExtractor):
         return False
 
 
-def _engine_run(rng):
-    """The reference for ``_leaky_run(rng, view=True)``: a full execution."""
+def _engine_run(rng, x2=0):
+    """The reference for ``_leaky_run(rng, view=True, x2=x2)``: a full
+    execution."""
     x1 = rng.fork("x1").randrange(2)
     adversary = _ViewCollectingExtractor()
     result = run_execution(
-        LeakyAndProtocol(), (x1, 0), adversary, rng.fork("exec")
+        LeakyAndProtocol(), (x1, x2), adversary, rng.fork("exec")
     )
     return (
         x1,
@@ -229,14 +230,19 @@ class TestLeakyKernel:
     """``_leaky_run`` reproduces the engine exactly, run for run."""
 
     def test_runs_match_engine(self):
-        leaks = set()
-        for seed in _seeds(200):
-            expected = _engine_run(Rng(seed))
-            assert _leaky_run(Rng(seed), view=True) == expected, seed
-            assert _leaky_run(Rng(seed)) == expected[:3] + (None,), seed
-            leaks.add(expected[1] is not None)
-        # Both branches of the leak coin were exercised.
-        assert leaks == {True, False}
+        # With x2 = 0 every value of p2's stream is 0, so only x2 = 1
+        # lets a wrong i* or fake draw show in the view.
+        for x2 in (0, 1):
+            leaks = set()
+            for seed in _seeds(200):
+                expected = _engine_run(Rng(seed), x2)
+                assert _leaky_run(Rng(seed), True, x2) == expected, seed
+                assert _leaky_run(Rng(seed), x2=x2) == expected[:3] + (
+                    None,
+                ), seed
+                leaks.add(expected[1] is not None)
+            # Both branches of the leak coin were exercised.
+            assert leaks == {True, False}
 
     @pytest.mark.parametrize("n_runs, seed", [(1, 0), (9, "a"), (24, (3,))])
     def test_measures_match_engine_loops(self, n_runs, seed):

@@ -133,6 +133,9 @@ class TestKnobErrors:
         ("REPRO_FAULT_RATE", "7", [], "REPRO_FAULT_RATE"),
         ("REPRO_FAULT_RATE", "-0.5", [], "REPRO_FAULT_RATE"),
         (None, None, ["--jobs", "-1"], "--jobs"),
+        (None, None, ["--chunk-timeout", "0"], "--chunk-timeout"),
+        (None, None, ["--chunk-size", "0"], "--chunk-size"),
+        (None, None, ["--chunk-size", "-3"], "--chunk-size"),
     ])
     def test_out_of_range_is_an_error(self, monkeypatch, capsys, var, raw,
                                       argv, source):

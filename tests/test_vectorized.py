@@ -15,8 +15,10 @@ fall back.  These tests pin both halves:
   eligible chunks of every width run on their kernel, and a kernel
   failure under the forced backend raises instead of being replayed;
 * **payload identity** — the deterministic portion of a verification
-  artifact is byte-equal across serial/pool/reference/vectorized, and a
-  chunk cache warmed under one backend serves the other;
+  artifact is byte-equal across serial/pool/reference/vectorized, for
+  every registered claim under reference vs ``auto`` (the registry-wide
+  differential), and a chunk cache warmed under one backend serves the
+  other;
 * **footprint** — no ``repro`` entry point imports NumPy.
 """
 
@@ -29,15 +31,20 @@ from repro.adversaries import (
     AbortAtRound,
     KnownOutputStopper,
     LockWatchingAborter,
+    RandomSingleCorruption,
+    SignalDeviator,
     fixed,
 )
 from repro.analysis import deterministic_payload, report_to_dict, run_batch
 from repro.engine.faults import ChannelFaultModel, EngineFaults
-from repro.functions import make_and, make_millionaires
+from repro.functions import make_and, make_concat, make_millionaires
+from repro.gmw import ThresholdGmwProtocol
 from repro.protocols import (
     GordonKatzProtocol,
     GradualReleaseProtocol,
+    OptNSfeProtocol,
     SingleRoundProtocol,
+    UnbalancedOptProtocol,
 )
 from repro.runtime import (
     BackendError,
@@ -92,16 +99,48 @@ def _gradual_config(i, rnd):
     return protocol, factory, (rnd.choice([0, 1]), rnd.choice([0, 1]))
 
 
+def _lock_watch(corrupt):
+    return fixed(
+        f"lock-watch{sorted(corrupt)}",
+        lambda s=frozenset(corrupt): LockWatchingAborter(set(s)),
+    )
+
+
+def _multiparty_config(protocol_class, sizes):
+    """A random size, a random non-empty proper coalition and, half the
+    time, random constant inputs (else the function's own sampler)."""
+
+    def config(i, rnd):
+        n = rnd.choice(sizes)
+        corrupt = rnd.sample(range(n), rnd.randint(1, n - 1))
+        func = make_concat(n, 8)
+        inputs = None
+        if rnd.random() < 0.5:
+            inputs = tuple(rnd.randrange(256) for _ in range(n))
+        return protocol_class(func), _lock_watch(corrupt), inputs
+
+    return config
+
+
+# (config, label, runs per seed).  The calibrated kernels replicate the
+# events of the task's own first runs, so their configurations need runs
+# beyond the calibration runs for a wrong key to show.
+EQUIVALENCE_CONFIGS = [
+    (_gk_config, "gordon-katz", 2),
+    (_single_round_config, "single-round", 2),
+    (_gradual_config, "gradual-release", 2),
+    (_multiparty_config(OptNSfeProtocol, (3, 4, 5)), "opt-nsfe", 8),
+    (_multiparty_config(UnbalancedOptProtocol, (3, 4, 5)), "unbalanced-opt", 8),
+    (_multiparty_config(ThresholdGmwProtocol, (3, 4)), "gmw-threshold", 4),
+]
+
+
 @pytest.mark.parametrize(
-    "config,label",
-    [
-        (_gk_config, "gordon-katz"),
-        (_single_round_config, "single-round"),
-        (_gradual_config, "gradual-release"),
-    ],
-    ids=["gordon-katz", "single-round", "gradual-release"],
+    "config,label,n_runs",
+    EQUIVALENCE_CONFIGS,
+    ids=[label for _, label, _ in EQUIVALENCE_CONFIGS],
 )
-def test_exact_equivalence_over_random_seeds(config, label):
+def test_exact_equivalence_over_random_seeds(config, label, n_runs):
     """Reference and vectorized backends agree exactly on N_SEEDS random
     master seeds (randomized corruption/inputs/parameters per seed)."""
     rnd = random.Random(f"vectorized-{label}")
@@ -109,17 +148,20 @@ def test_exact_equivalence_over_random_seeds(config, label):
     for i in range(N_SEEDS):
         protocol, factory, inputs = config(i, rnd)
         seed = ("vec-equiv", label, i, rnd.getrandbits(64))
-        task_args = dict(
-            seed=seed, input_sampler=constant_inputs(inputs)
-        )
+        sampler = None if inputs is None else constant_inputs(inputs)
+        task_args = dict(seed=seed, input_sampler=sampler)
         ref_runner = SerialRunner(cache=None, backend="reference")
         vec_runner = SerialRunner(cache=None, backend="vectorized")
-        ref = run_batch(protocol, factory, 2, runner=ref_runner, **task_args)
-        vec = run_batch(protocol, factory, 2, runner=vec_runner, **task_args)
+        ref = run_batch(
+            protocol, factory, n_runs, runner=ref_runner, **task_args
+        )
+        vec = run_batch(
+            protocol, factory, n_runs, runner=vec_runner, **task_args
+        )
         assert ref.counts == vec.counts, (label, i, seed)
         assert ref.corruption_counts == vec.corruption_counts, (label, i)
         assert vec_runner.last_stats.execution_backend == "vectorized"
-        assert vec_runner.last_stats.vectorized_runs == 2
+        assert vec_runner.last_stats.vectorized_runs == n_runs
         checked += 1
     assert checked == N_SEEDS
 
@@ -184,6 +226,49 @@ def test_rng_consuming_factory_falls_back_to_reference():
     runner = SerialRunner(cache=None, backend="auto")
     runner.run_one(task)
     assert runner.last_stats.execution_backend == "reference"
+
+
+def _opaque_sampler(rng):
+    return tuple(rng.randrange(256) for _ in range(3))
+
+
+# Each case leaves one gate of the priv-sfe kernel unmet.
+PRIV_SFE_FALLBACKS = {
+    "rng-consuming": (
+        OptNSfeProtocol, lambda rng: RandomSingleCorruption(3, rng), None,
+    ),
+    "signal-deviator": (
+        UnbalancedOptProtocol, fixed("sd0", lambda: SignalDeviator({0})), None,
+    ),
+    "all-parties": (OptNSfeProtocol, _lock_watch({0, 1, 2}), None),
+    "custom-sampler": (OptNSfeProtocol, _lock_watch({0}), _opaque_sampler),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRIV_SFE_FALLBACKS))
+def test_priv_sfe_ineligible_tasks_fall_back_to_reference(case):
+    protocol_class, factory, sampler = PRIV_SFE_FALLBACKS[case]
+    task = ExecutionTask(
+        protocol_class(make_concat(3, 8)), factory, 16,
+        seed=("vec-priv-sfe", case), input_sampler=sampler,
+    )
+    assert not vectorizable(task)
+    runner = SerialRunner(cache=None, backend="auto")
+    runner.run_one(task)
+    assert runner.last_stats.execution_backend == "reference"
+    assert runner.last_stats.vectorized_runs == 0
+
+
+@pytest.mark.parametrize("protocol_class", [
+    OptNSfeProtocol, UnbalancedOptProtocol, ThresholdGmwProtocol,
+])
+def test_multiparty_lock_watchers_are_vectorizable(protocol_class):
+    for sampler in (None, constant_inputs((1, 2, 3))):
+        task = ExecutionTask(
+            protocol_class(make_concat(3, 8)), _lock_watch({0, 2}), 16,
+            seed="vec-multiparty", input_sampler=sampler,
+        )
+        assert vectorizable(task)
 
 
 def test_non_execution_task_falls_back_to_reference():
@@ -274,6 +359,32 @@ def test_pool_resolves_kernels_before_forking():
     )
     pool.run_one(task)
     assert vars(task)["_vectorized_kernel"] is not None
+
+
+def test_pool_builds_no_kernel_for_a_fully_journaled_task(tmp_path):
+    """A task whose every span the journal replays never reaches a
+    worker, so the parent skips its matchers and calibration runs."""
+    from repro.runtime import RunJournal
+
+    def run(task):
+        pool = ProcessPoolRunner(
+            2, min_parallel_runs=1, chunk_size=16, cache=None,
+            backend="auto", journal=RunJournal(tmp_path),
+        )
+        return pool.run_one(task), pool.last_stats
+
+    def task():
+        return ExecutionTask(
+            OptNSfeProtocol(make_concat(3, 8)), _lock_watch({0}), 64,
+            seed="vec-pool-journal",
+        )
+
+    first, _ = run(task())
+    replay_task = task()
+    replayed, stats = run(replay_task)
+    assert replayed.counts == first.counts
+    assert stats.journal_replayed_chunks == stats.n_chunks == 4
+    assert "_vectorized_kernel" not in vars(replay_task)
 
 
 def test_forced_vectorized_runs_narrow_chunks_on_the_kernel():
@@ -367,6 +478,24 @@ def test_verification_payload_byte_equal_across_backends():
     assert any(
         s.vectorized_runs for s in vec_runner.stats_history
     ), "the vectorized side never actually vectorized"
+
+
+def test_registry_payload_byte_equal_across_backends():
+    """The registry-wide backend differential: every registered claim's
+    deterministic payload is byte-identical under the reference engine
+    and under ``auto``, which runs each eligible task on its kernel."""
+    texts = {}
+    for backend in ("reference", "auto"):
+        runner = SerialRunner(cache=None, backend=backend)
+        report = verify_claims(
+            "all", budget="small", seed="vec-registry", runner=runner
+        )
+        texts[backend] = json.dumps(
+            deterministic_payload(report_to_dict(report)), sort_keys=True
+        )
+        vectorized = sum(s.vectorized_runs for s in runner.stats_history)
+        assert (vectorized > 0) == (backend == "auto"), backend
+    assert texts["reference"] == texts["auto"]
 
 
 def test_e20_claims_pass_at_small_budget():
