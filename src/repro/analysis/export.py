@@ -155,6 +155,7 @@ def run_stats_to_dict(stats: RunStats) -> dict:
         "cache_stores": stats.cache_stores,
         "execution_backend": stats.execution_backend,
         "vectorized_runs": stats.vectorized_runs,
+        "calibration_runs": stats.calibration_runs,
         "service_dedup_hits": stats.service_dedup_hits,
         "service_rate_limited": stats.service_rate_limited,
         "chunks": [chunk_stats_to_dict(c) for c in stats.chunks],

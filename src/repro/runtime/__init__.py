@@ -26,7 +26,6 @@ from .cache import (
 from .early_stop import EarlyStopRule
 from .retry import (
     NO_FAULTS,
-    ChunkTimeout,
     FaultSpec,
     InjectedFault,
     RetryPolicy,
@@ -68,7 +67,6 @@ __all__ = [
     "RetryPolicy",
     "FaultSpec",
     "InjectedFault",
-    "ChunkTimeout",
     "NO_FAULTS",
     "run_task_chunk",
     "EarlyStopRule",

@@ -210,6 +210,7 @@ INSTRUMENT_KEYS = (
     "cache_corrupt",
     "cache_write_errors",
     "vectorized_runs",
+    "calibration_runs",
 )
 
 
@@ -240,6 +241,7 @@ def instrumentation_snapshot() -> dict:
         "cache_corrupt": ChunkCache.counters["corrupt"],
         "cache_write_errors": ChunkCache.counters["write_errors"],
         "vectorized_runs": vectorized_counters["vectorized_runs"],
+        "calibration_runs": vectorized_counters["calibration_runs"],
     }
 
 

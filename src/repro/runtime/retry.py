@@ -43,10 +43,6 @@ class InjectedFault(RuntimeError):
     """A deliberately injected chunk failure (never a real task bug)."""
 
 
-class ChunkTimeout(RuntimeError):
-    """Raised parent-side when a chunk misses its wall-clock deadline."""
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """How a runner reacts to a failed or timed-out chunk attempt.
@@ -55,9 +51,11 @@ class RetryPolicy:
     once they are exhausted the runners degrade to a trusted in-process
     serial replay (with fault injection disabled) instead of raising, so
     an injected failure can never abort a batch.  ``chunk_timeout_s`` is
-    the per-chunk result deadline for pool backends (``None`` = wait
-    forever); it is measured parent-side from when the chunk's result is
-    awaited, with queue wait excluded while the chunk has not started.
+    the per-attempt deadline on the process pool (``None`` = wait
+    forever), measured parent-side from when the worker starts the
+    attempt: when it is sent to an idle worker, or when the attempt
+    queued ahead of it on that worker resolves.  A worker that misses it
+    is killed and replaced.
     """
 
     max_retries: int = KNOBS["REPRO_MAX_RETRIES"].default

@@ -19,6 +19,7 @@ from typing import Callable, Hashable, Optional
 from ....core.events import FairnessEvent
 from ....core.utility import EventCounts
 from ....engine.execution import ProtocolViolation
+from ..registry import COUNTERS
 
 #: Runs searched for each key value before the matcher gives up (the
 #: task then runs on the engine).  A key value of probability p is
@@ -29,6 +30,7 @@ _CALIBRATION_SEARCH = 256
 def _reference_event(task, k: int):
     """Run ``k`` of ``task`` on the engine: ``(event, corrupted)``, or
     ``None`` for a run no kernel should replicate (hung or violating)."""
+    COUNTERS["calibration_runs"] += 1
     try:
         counts = task.run_chunk(k, k + 1)
     except ProtocolViolation:

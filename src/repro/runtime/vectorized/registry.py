@@ -21,7 +21,8 @@ and on the reference engine otherwise; ``vectorized`` is an assertion
 that raises on any non-vectorizable task and on any kernel failure;
 ``reference`` never consults the registry.  The chosen engine is
 visible afterwards in ``RunStats`` (``execution_backend`` /
-``vectorized_runs``, and ``ChunkStats.engine`` per chunk).
+``vectorized_runs`` / ``calibration_runs``, and ``ChunkStats.engine``
+per chunk).
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ BACKENDS = ("auto", "reference", "vectorized")
 
 #: Module-level monotonic counters, shipped through the same
 #: instrumentation snapshot/delta channel as the cache and memo counters
-#: (workers ship deltas back to the parent inside chunk results).
-COUNTERS = {"vectorized_runs": 0}
+#: (workers ship deltas back to the parent inside chunk results): runs
+#: computed by kernels, and engine runs stepped to calibrate them.
+COUNTERS = {"vectorized_runs": 0, "calibration_runs": 0}
 
 
 class BackendError(ValueError):

@@ -9,8 +9,9 @@ Failed and cancelled jobs are evicted on resubmission so a transient
 error is not cached forever.
 
 Each worker thread owns one long-lived **job process**, forked with the
-pool before any thread starts and linked to its thread by a pipe.  A
-built-in method (``canonical.METHOD_SCHEMAS``) crosses the pipe as
+pool before any thread starts and linked to its thread by a pipe (a
+``runtime.workers.Worker``, as the process pool's chunk workers are).
+A built-in method (``canonical.METHOD_SCHEMAS``) crosses the pipe as
 ``(method, canon)``; the job process builds a fresh :class:`BatchRunner`
 from the ``runner_factory`` it inherited, runs ``methods.run_method``,
 sends each chunk record back the moment the chunk resolves — the
@@ -37,13 +38,9 @@ runtime counter.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import queue
-import signal
 import sys
 import threading
-import time
-from multiprocessing import util as mp_util
 from typing import Callable, Dict, List, Optional
 
 from ..analysis.export import (
@@ -52,6 +49,7 @@ from ..analysis.export import (
     run_stats_to_dict,
 )
 from ..runtime.config import knob
+from ..runtime.workers import Worker
 from .methods import run_method
 
 #: Job lifecycle states, in order of appearance.
@@ -60,22 +58,8 @@ JOB_STATES = ("pending", "running", "done", "failed", "cancelled")
 #: States from which a job will never produce a result.
 DEAD_STATES = ("failed", "cancelled")
 
-#: How often a thread waiting on its job process checks that the process
-#: is alive: pool workers the process forked can hold its pipe open
-#: after it dies, so end-of-file alone does not prove a death.
-LIVENESS_POLL_S = 1.0
-
-#: Seconds a job process gets to exit after its pipe closes.
-STOP_GRACE_S = 10.0
-
 #: Received strings up to this length are interned (see ``_intern``).
 INTERN_MAX_LEN = 64
-
-_FORK = multiprocessing.get_context("fork")
-
-#: Parent ends of every live job-process pipe.  A new job process closes
-#: its inherited copies, so each pipe reaches EOF when the parent exits.
-_PARENT_ENDS: set = set()
 
 
 class QueueFull(RuntimeError):
@@ -170,12 +154,8 @@ def _describe(exc) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _job_process_main(conn, runner_factory) -> None:
+def _serve_jobs(conn, runner_factory) -> None:
     """A job process: serve ``(method, canon)`` requests until EOF."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in _PARENT_ENDS:
-        end.close()
-    _PARENT_ENDS.clear()
 
     def send_event(record):
         conn.send(("chunk", record))
@@ -218,22 +198,11 @@ def _intern(value):
     return value
 
 
-class _JobProcess:
-    """One worker thread's job process and the parent end of its pipe."""
+class _JobProcess(Worker):
+    """One worker thread's job process."""
 
     def __init__(self, runner_factory):
-        parent_end, child_end = _FORK.Pipe()
-        # Registered before the fork, so the child closes this end too.
-        _PARENT_ENDS.add(parent_end)
-        self.conn = parent_end
-        self.process = _FORK.Process(
-            target=_job_process_main,
-            args=(child_end, runner_factory),
-            name="repro-service-job",
-            daemon=False,  # `repro --jobs N serve` forks a pool inside it
-        )
-        self.process.start()
-        child_end.close()
+        super().__init__(_serve_jobs, runner_factory, name="repro-service-job")
 
     def run(self, job: Job) -> tuple:
         """Run a built-in job here; return ``(artifact, stats dicts)``.
@@ -244,7 +213,7 @@ class _JobProcess:
         try:
             self.conn.send((job.method, job.canon))
             while True:
-                message = self._receive()
+                message = _intern(self.recv())
                 if message[0] == "chunk":
                     job.add_event(message[1])
                 elif message[0] == "done":
@@ -258,34 +227,6 @@ class _JobProcess:
             f"job process {self.process.pid} exited with code "
             f"{self.process.exitcode}"
         )
-
-    def _receive(self):
-        while not self.conn.poll(LIVENESS_POLL_S):
-            if not self.process.is_alive():
-                raise EOFError
-        return _intern(self.conn.recv())
-
-    def stop(self, grace_s: float = STOP_GRACE_S) -> None:
-        """Close the pipe, wait for the process to exit, kill it if it
-        does not within ``grace_s`` seconds."""
-        _PARENT_ENDS.discard(self.conn)
-        self.conn.close()
-        # is_alive() polls waitpid: the exit sentinel can stay open in
-        # pool workers the process forked.
-        deadline = time.monotonic() + grace_s
-        while self.process.is_alive() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join()
-
-
-def _close_pipes(processes: List[_JobProcess]) -> None:
-    # At interpreter exit multiprocessing joins every non-daemonic child;
-    # an abandoned pool's job processes exit only once their pipes close.
-    for proc in processes:
-        _PARENT_ENDS.discard(proc.conn)
-        proc.conn.close()
 
 
 class JobPool:
@@ -319,8 +260,6 @@ class JobPool:
         self._closed = False
         # Forked before any pool thread exists.
         self._processes = [_JobProcess(runner_factory) for _ in range(workers)]
-        mp_util.Finalize(self, _close_pipes, args=(self._processes,),
-                         exitpriority=10)
         self._threads = [
             threading.Thread(
                 target=self._worker, args=(i,),

@@ -74,6 +74,22 @@ class StopAfter(EarlyStopRule):
 
 
 @pytest.fixture
+def forks(monkeypatch):
+    """Every process-pool worker forked while the test runs."""
+    from repro.runtime import runner
+
+    forked = []
+
+    class CountingWorker(runner.Worker):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            forked.append(self)
+
+    monkeypatch.setattr(runner, "Worker", CountingWorker)
+    return forked
+
+
+@pytest.fixture
 def rng():
     return Rng(b"test-suite")
 

@@ -272,9 +272,7 @@ def run_trial(venue, dims, seed, rate, workdir):
         assert stats.journal_corrupt_records >= 1
     if "cache-corruption" in dims:
         # The trusted serial replay never reads the cache, so a span that
-        # ended there leaves its corrupted entry unread.  A worker kill
-        # breaks the whole pool and loses the counters of the chunks
-        # still in flight; the quarantined file is the evidence then.
+        # ended there leaves its corrupted entry unread.
         replayed = {
             chunk_key(tasks[c.task_index], c.start, c.stop)
             for c in stats.chunks
@@ -283,11 +281,6 @@ def run_trial(venue, dims, seed, rate, workdir):
         assert (
             stats.cache_corrupt_entries >= 1
             or corrupt_entry.stem in replayed
-            or (
-                venue == "pool"
-                and "worker-kill" in dims
-                and corrupt_entry.with_suffix(".corrupt").exists()
-            )
         )
     assert leak_failure(threads_before) is None
 

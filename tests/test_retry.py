@@ -8,6 +8,8 @@ environment sets (the fault-tolerance CI job sets both on purpose).
 """
 
 import pickle
+import signal
+import time
 
 import pytest
 
@@ -19,7 +21,7 @@ from repro.analysis import (
     sweep_strategies,
     to_dict,
 )
-from repro.core import PayoffVector
+from repro.core import FairnessEvent, PayoffVector
 from repro.core.utility import EventCounts
 from repro.functions import make_swap
 from repro.protocols import Opt2SfeProtocol
@@ -166,8 +168,8 @@ def test_retry_exhaustion_degrades_to_serial_replay():
 
 
 def test_worker_death_breaks_pool_and_degrades():
-    """A worker that dies mid-chunk (BrokenProcessPool) degrades the
-    batch to serial replay without losing or biasing it."""
+    """Workers that die on every attempt of every chunk leave each chunk
+    to trusted serial replay, without losing or biasing the batch."""
     protocol, factory = _workload()
     clean = _clean_serial(protocol, factory, 60, seed=5)
     runner = pool(
@@ -179,6 +181,74 @@ def test_worker_death_breaks_pool_and_degrades():
     assert counts == clean
     assert counts.run_stats.degraded
     assert counts.run_stats.serial_replays == counts.run_stats.n_chunks
+
+
+def test_worker_death_costs_one_attempt_of_one_chunk():
+    """A worker that dies is replaced and its chunk retried on a worker:
+    the other workers' chunks are unaffected and nothing degrades to
+    serial replay."""
+    protocol, factory = _workload()
+    clean = _clean_serial(protocol, factory, 60, seed=5)
+    runner = pool(
+        2, chunk_size=20,
+        retry=RetryPolicy(max_retries=1, **FAST),
+        fault=FaultSpec(rate=1.0, kind="exit", seed="t3", max_consecutive=1),
+    )
+    counts = run_batch(protocol, factory, 60, seed=5, runner=runner)
+    stats = counts.run_stats
+    assert counts == clean
+    assert stats.failed_attempts >= 1
+    assert stats.serial_replays == 0
+    assert not stats.degraded
+
+
+class SlowOnce:
+    """Counts one event per run, napping ``nap`` seconds per chunk; the
+    first time any process runs the span starting at ``slow_start`` it
+    sleeps far past any test deadline instead (a marker file records
+    that it has)."""
+
+    def __init__(self, n_runs, slow_start, marker, nap=0.0):
+        self.n_runs = n_runs
+        self.slow_start = slow_start
+        self.marker = marker
+        self.nap = nap
+
+    def run_chunk(self, start, stop):
+        if start == self.slow_start and not self.marker.exists():
+            self.marker.touch()
+            time.sleep(60)
+        time.sleep(self.nap)
+        counts = EventCounts()
+        for _ in range(start, stop):
+            counts.record(FairnessEvent.E11, frozenset({0}))
+        return counts
+
+
+def test_deadline_miss_kills_only_the_late_worker(tmp_path, forks):
+    """The late worker is killed and replaced.  The other worker is
+    mid-chunk when that happens (its 0.4 s chunks run back to back from
+    the start, and the deadline falls 1.0 s in), and it finishes every
+    chunk on its first attempt; nothing is replayed serially."""
+    runner = pool(
+        2, chunk_size=10,
+        retry=RetryPolicy(max_retries=1, chunk_timeout_s=1.0, **FAST),
+        fault=NO_FAULTS,
+    )
+    (counts,) = runner.run([SlowOnce(60, 0, tmp_path / "slept", nap=0.4)])
+    stats = runner.last_stats
+    assert counts.total == 60
+    assert stats.timeouts == stats.failed_attempts == 1
+    assert stats.serial_replays == 0
+    assert [(c.start, c.attempts, c.outcome) for c in stats.chunks] == [
+        (0, 2, "retried"),
+        *((start, 1, "ok") for start in range(10, 60, 10)),
+    ]
+    # The late worker was killed; every other one (a replacement too)
+    # exited cleanly at the end of the batch.
+    exits = sorted(w.process.exitcode for w in forks)
+    assert exits[0] == -signal.SIGKILL
+    assert exits[1:] == [0] * (len(forks) - 1)
 
 
 def test_chunk_timeout_triggers_retry():
@@ -201,11 +271,9 @@ def test_wedged_worker_does_not_leak_pool_slot():
     future, so a worker wedged past its deadline used to keep its pool
     slot and the retry queued behind the very sleep it was escaping —
     serially eating a queue-wait deadline per retry until the ladder
-    exhausted.  After the fix the pool is respawned on a wedged timeout,
-    so retries land immediately and complete well before the sleeps
-    would have drained."""
-    import time
-
+    exhausted.  A late worker is now killed and replaced, so retries
+    land immediately and complete well before the sleeps would have
+    drained."""
     protocol, factory = _workload()
     clean = _clean_serial(protocol, factory, 80, seed=5)
     runner = pool(

@@ -2,6 +2,8 @@
 determinism (serial vs. process pool), adaptive early stopping, stats,
 and jobs resolution."""
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,8 +30,12 @@ from repro.protocols import (
     OptNSfeProtocol,
 )
 from repro.runtime import (
+    NO_FAULTS,
     ExecutionTask,
+    FaultSpec,
     ProcessPoolRunner,
+    RetryPolicy,
+    RunJournal,
     RunStats,
     SerialRunner,
     default_chunk_size,
@@ -40,7 +46,7 @@ from repro.runtime import (
     usable_cpus,
 )
 
-from .conftest import StopAfter
+from .conftest import StopAfter, leak_failure
 
 GAMMA = PayoffVector(0.0, 0.0, 1.0, 0.5)
 
@@ -423,3 +429,85 @@ class TestRunStats:
         runner = ProcessPoolRunner(4)  # default small-batch threshold
         runner.run_one(ExecutionTask(protocol, factory, 10, seed=0))
         assert runner.last_stats.backend == "serial"
+
+
+# -- forked pool workers -----------------------------------------------------
+
+
+def _dummy_tasks(n_runs=40):
+    protocol = DummyProtocol(make_swap(8))
+    return [
+        ExecutionTask(protocol, factory, n_runs, seed=("forked", i))
+        for i, factory in enumerate(strategy_space_for_protocol(protocol)[:3])
+    ]
+
+
+class _Interrupting:
+    """Counts one event per run and raises ``KeyboardInterrupt`` in the
+    chunk that starts at ``boom_start``."""
+
+    def __init__(self, n_runs, boom_start):
+        self.n_runs = n_runs
+        self.boom_start = boom_start
+
+    def run_chunk(self, start, stop):
+        if start == self.boom_start:
+            raise KeyboardInterrupt
+        counts = EventCounts()
+        for _ in range(start, stop):
+            counts.record(FairnessEvent.E11, frozenset({0}))
+        return counts
+
+
+class TestForkedWorkers:
+    def test_chunks_are_logged_in_plan_order(self):
+        """Injected faults make chunks resolve out of order; the records
+        still follow the plan."""
+        runner = ProcessPoolRunner(
+            2, chunk_size=7, min_parallel_runs=0,
+            retry=RetryPolicy(max_retries=2, backoff_s=0.01,
+                              backoff_multiplier=1.0),
+            fault=FaultSpec(rate=0.5, seed="order"),
+        )
+        tasks = _dummy_tasks()
+        runner.run(tasks)
+        assert runner.last_stats.retries > 0
+        assert [
+            (c.task_index, c.start, c.stop) for c in runner.last_stats.chunks
+        ] == [
+            (ti, start, stop)
+            for ti, task in enumerate(tasks)
+            for start, stop in plan_chunks(task.n_runs, 7)
+        ]
+
+    @pytest.mark.parametrize("end", ["complete", "early-stop", "interrupt"])
+    def test_no_worker_outlives_its_batch(self, end, forks):
+        threads_before = threading.active_count()
+        runner = ProcessPoolRunner(
+            2, chunk_size=10, min_parallel_runs=0, fault=NO_FAULTS
+        )
+        if end == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                runner.run([_Interrupting(100, boom_start=30)])
+        else:
+            rule = StopAfter(20) if end == "early-stop" else None
+            runner.run(_dummy_tasks(100), early_stop=rule)
+            assert runner.last_stats.stopped_early == (rule is not None)
+        assert forks
+        assert leak_failure(threads_before) is None
+
+    def test_fully_journaled_batch_forks_no_worker(self, tmp_path, forks):
+        def run():
+            runner = ProcessPoolRunner(
+                2, chunk_size=10, min_parallel_runs=0, fault=NO_FAULTS,
+                journal=RunJournal(tmp_path),
+            )
+            return runner.run(_dummy_tasks()), runner.last_stats
+
+        first, _ = run()
+        assert len(forks) == 2
+        forks.clear()
+        replayed, stats = run()
+        assert forks == []
+        assert replayed == first
+        assert stats.journal_replayed_chunks == stats.n_chunks == 12

@@ -35,7 +35,12 @@ from repro.adversaries import (
     SignalDeviator,
     fixed,
 )
-from repro.analysis import deterministic_payload, report_to_dict, run_batch
+from repro.analysis import (
+    deterministic_payload,
+    report_to_dict,
+    run_batch,
+    run_stats_to_dict,
+)
 from repro.engine.faults import ChannelFaultModel, EngineFaults
 from repro.functions import make_and, make_concat, make_millionaires
 from repro.gmw import ThresholdGmwProtocol
@@ -385,6 +390,29 @@ def test_pool_builds_no_kernel_for_a_fully_journaled_task(tmp_path):
     assert replayed.counts == first.counts
     assert stats.journal_replayed_chunks == stats.n_chunks == 4
     assert "_vectorized_kernel" not in vars(replay_task)
+
+
+def test_calibration_runs_are_counted_on_both_venues():
+    """The two engine runs that calibrate a ΠOptnSFE lock-watcher kernel
+    (one per value of "i* in the coalition") land in the batch stats,
+    in the chunk that built the kernel on the serial venue and in the
+    pool's parent, which builds it before forking."""
+    def task():
+        return ExecutionTask(
+            OptNSfeProtocol(make_concat(3, 8)), _lock_watch({0}), 64,
+            seed="vec-calibration",
+        )
+
+    serial = SerialRunner(cache=None, backend="auto", chunk_size=16)
+    pool = ProcessPoolRunner(
+        2, min_parallel_runs=1, chunk_size=16, cache=None, backend="auto"
+    )
+    for runner in (serial, pool):
+        runner.run_one(task())
+        assert runner.last_stats.execution_backend == "vectorized"
+        assert runner.last_stats.calibration_runs == 2
+        assert run_stats_to_dict(runner.last_stats)["calibration_runs"] == 2
+    assert pool.last_stats.backend == "process-pool"
 
 
 def test_forced_vectorized_runs_narrow_chunks_on_the_kernel():
