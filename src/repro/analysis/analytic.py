@@ -1,8 +1,8 @@
 """Closed-form attacker utilities — the paper's proofs, transcribed.
 
 Each function returns the analytic value of sup_A u_A(Π, A) (or the per-t
-best) that the corresponding theorem/lemma establishes; the benchmarks
-check the Monte-Carlo measurements against these.
+best) that the corresponding theorem/lemma establishes; the registry
+claims (``repro.verify``) check the Monte-Carlo measurements against these.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Every fairness claim in this library is a Monte-Carlo estimate; choosing
 the run budget is a precision decision.  These helpers chart how an
 estimate and its confidence interval tighten with the budget, and pick the
-budget needed to separate two analytic values — used by the benchmarks'
-tolerance choices and available to users calibrating their own sweeps.
+budget needed to separate two analytic values — for choosing claim
+budgets and tolerances, and for users calibrating their own sweeps.
 """
 
 from __future__ import annotations

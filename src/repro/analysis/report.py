@@ -1,12 +1,8 @@
-"""Plain-text table rendering for benchmark output.
-
-Benchmarks print rows of "paper claim vs measured value"; this module keeps
-the formatting in one place so every experiment reports uniformly.
-"""
+"""Plain-text table rendering for the CLI and the examples."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -29,29 +25,3 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.4f}"
     return str(value)
-
-
-def experiment_banner(exp_id: str, claim: str) -> str:
-    bar = "=" * 72
-    return f"{bar}\n{exp_id}: {claim}\n{bar}"
-
-
-def check_row(
-    label: str, paper_value: float, measured: float, tolerance: float
-) -> List:
-    """A standard paper-vs-measured row with a pass/fail verdict."""
-    ok = abs(paper_value - measured) <= tolerance
-    return [label, paper_value, measured, tolerance, "ok" if ok else "MISMATCH"]
-
-
-def bound_row(
-    label: str, bound: float, measured: float, tolerance: float, kind: str = "<="
-) -> List:
-    """A row checking measured against an upper/lower bound."""
-    if kind == "<=":
-        ok = measured <= bound + tolerance
-    elif kind == ">=":
-        ok = measured >= bound - tolerance
-    else:
-        raise ValueError("kind must be '<=' or '>='")
-    return [label, f"{kind} {bound:.4f}", measured, tolerance, "ok" if ok else "VIOLATED"]

@@ -4,7 +4,7 @@ Lets GMW evaluate arbitrary :class:`~repro.functions.FunctionSpec`-style
 functions with enumerable domains without hand-building circuits: the
 function is tabulated and compiled as a sum-of-minterms over the input bits.
 Exponential in total input width, so intended for the small functions the
-benches exercise (as the paper's constructions are generic, the circuit
+experiments exercise (as the paper's constructions are generic, the circuit
 representation is never the bottleneck of the *fairness* analysis).
 
 Compilation is memoized per process, keyed by the *content* of the

@@ -75,7 +75,7 @@ def is_optimally_fair(
     """Definition 2 restricted to an assessed universe of protocols.
 
     (True optimality quantifies over *all* protocols; the paper's theorems
-    pin the optimum analytically, and the benches check the candidate
+    pin the optimum analytically, and the claims and tests check the candidate
     attains it among every implemented competitor.)
     """
     return all(at_least_as_fair(candidate, other, tol) for other in others)

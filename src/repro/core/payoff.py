@@ -106,7 +106,7 @@ PARTIAL_FAIRNESS_GAMMA = PayoffVector(0.0, 0.0, 1.0, 0.0)
 
 
 def gamma_fair_grid() -> list:
-    """A small grid of Γfair vectors for sweeping benchmarks."""
+    """A small grid of Γfair vectors for sweeps."""
     grid = []
     for g00 in (0.0, 0.25, 0.5):
         for g11 in (0.0, 0.5, 0.75):

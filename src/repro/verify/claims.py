@@ -336,6 +336,7 @@ def default_registry() -> ClaimRegistry:
         estimate_utility,
         run_batch,
         leaky_distinguisher_probabilities,
+        leaky_privacy_distance,
     )
     from ..analysis.analytic import (
         gk_known_output_e10,
@@ -676,14 +677,42 @@ def default_registry() -> ClaimRegistry:
         base_runs=240,
     ))
 
-    # -- E11: Lemma 26, the leaky protocol's leak rate ---------------------
-    def measure_leak_rate(ctx):
+    # -- E11: Lemmas 26/27, Π̃ is 1/2-secure and private, not Fsfe$ --------
+    def distinguisher_rates(ctx):
         n_runs = ctx.runs(320)
-        _z1, z2 = leaky_distinguisher_probabilities(
+        z1, z2 = leaky_distinguisher_probabilities(
             n_runs=n_runs, seed=ctx.seed_for("e11")
         )
+        return n_runs, z1, z2
+
+    def measure_leak_rate(ctx):
+        n_runs, _z1, z2 = distinguisher_rates(ctx)
         return Measurement.proportion(
             int(round(z2 * n_runs)), n_runs, detail="Pr[Z2 = 1]"
+        )
+
+    def measure_separation(ctx):
+        n_runs, z1, z2 = distinguisher_rates(ctx)
+        # One run adds 1/4, −3/4 or 0 to the gap: a spread of 1.
+        return Measurement(
+            value=z1 - 0.75 * z2, n_runs=n_runs,
+            detail="Pr[Z1 = 1] − ¾·Pr[Z2 = 1]",
+        )
+
+    def measure_view_distance(ctx):
+        n_runs = ctx.runs(320)
+        return Measurement(
+            value=leaky_privacy_distance(
+                n_runs=n_runs, seed=ctx.seed_for("e11-privacy")
+            ),
+            n_runs=n_runs,
+            # Two n-view samples over 4 view cells: with equal
+            # distributions their distance averages at most √(3/2n), and
+            # McDiarmid (one view moves it by ≤ 1/n) bounds the excess by
+            # √(ln 100 / n) at δ = 0.01; a spread of 2.1 makes the
+            # Hoeffding band cover both.
+            spread=2.1,
+            detail="TV(real p2 views, simulated views)",
         )
 
     registry.register(Claim(
@@ -694,6 +723,27 @@ def default_registry() -> ClaimRegistry:
         analytic=lambda: 0.25,
         measure=measure_leak_rate,
         tolerance=TolerancePolicy(slack=0.03, z=3.0),
+        base_runs=320,
+    ))
+    registry.register(Claim(
+        claim_id="E11-separation", experiment="E11", paper_ref="Lemma 26",
+        statement="Lemma 26: Π̃'s real world has Pr[Z1 = 1] > ¾·Pr[Z2 = 1] "
+                  "(Z1 fires whenever Z2 does), which no Fsfe$ simulator "
+                  "allows, so Π̃ does not realize Fsfe$",
+        kind=BoundKind.STRICT_ORDER,
+        analytic=lambda: 0.25 * (1 - 0.75),
+        measure=measure_separation,
+        tolerance=TolerancePolicy(slack=0.03, z=3.0),
+        base_runs=320,
+    ))
+    registry.register(Claim(
+        claim_id="E11-privacy", experiment="E11", paper_ref="Lemma 27",
+        statement="Lemma 27: Π̃ is private; the x2' = 1 simulator's view "
+                  "of the corrupted p2 has the real view's distribution "
+                  "(statistical distance 0)",
+        kind=BoundKind.EQUALITY,
+        analytic=lambda: 0.0,
+        measure=measure_view_distance,
         base_runs=320,
     ))
 

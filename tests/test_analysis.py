@@ -7,11 +7,8 @@ from repro.analysis import (
     FairnessOrder,
     assess_protocol,
     balance_profile,
-    bound_row,
     build_order,
-    check_row,
     estimate_utility,
-    experiment_banner,
     format_table,
     run_batch,
     sweep_strategies,
@@ -206,20 +203,6 @@ class TestReportHelpers:
         lines = text.splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("a")
-
-    def test_check_row_verdicts(self):
-        assert check_row("x", 1.0, 1.01, 0.05)[-1] == "ok"
-        assert check_row("x", 1.0, 1.2, 0.05)[-1] == "MISMATCH"
-
-    def test_bound_row_verdicts(self):
-        assert bound_row("x", 0.5, 0.4, 0.01)[-1] == "ok"
-        assert bound_row("x", 0.5, 0.6, 0.01)[-1] == "VIOLATED"
-        assert bound_row("x", 0.5, 0.6, 0.01, kind=">=")[-1] == "ok"
-        with pytest.raises(ValueError):
-            bound_row("x", 0.5, 0.6, 0.01, kind="==")
-
-    def test_banner(self):
-        assert "E1" in experiment_banner("E1", "claim")
 
     def test_monte_carlo_tolerance(self):
         assert monte_carlo_tolerance(400) == pytest.approx(0.075)

@@ -1,6 +1,6 @@
 """Integration tests: every headline quantitative claim of the paper,
-measured end to end at moderate Monte-Carlo budgets (the benchmarks repeat
-these at higher budgets and over parameter sweeps)."""
+measured end to end at moderate Monte-Carlo budgets (``repro verify``
+checks the registry's version of each at a chosen budget)."""
 
 import pytest
 
@@ -9,6 +9,8 @@ from repro.adversaries import (
     LockWatchingAborter,
     RandomSingleCorruption,
     SignalDeviator,
+    a1_strategy,
+    a2_strategy,
     fixed,
 )
 from repro.analysis import (
@@ -27,10 +29,11 @@ from repro.core import (
     check_ideal_fairness,
     is_utility_balanced,
     monte_carlo_tolerance,
+    no_strictly_dominated_cost_exists,
     optimal_cost_from_profile,
     per_t_bound,
 )
-from repro.functions import make_concat, make_swap
+from repro.functions import make_concat, make_contract_exchange, make_swap
 from repro.gmw import ThresholdGmwProtocol
 from repro.protocols import (
     CoinOrderedContractSigning,
@@ -95,6 +98,27 @@ class TestTheorem3And4:
         )
         est = estimate_utility(protocol, agen, STANDARD_GAMMA, RUNS, seed=3)
         assert est.mean >= u_opt_2sfe(STANDARD_GAMMA) - TOL
+
+    def test_lemma7_pair_sums_to_the_fair_total_on_every_protocol(self):
+        """u(Π, A1) + u(Π, A2) ≥ γ10 + γ11 for every swap protocol of the
+        zoo; Agen mixes A1 and A2 evenly, so it collects half of that."""
+        gamma = STANDARD_GAMMA
+        runs = 200
+        tol = monte_carlo_tolerance(runs) + 0.02
+        for protocol in (
+            Opt2SfeProtocol(make_swap(16)),
+            SingleRoundProtocol(make_swap(16)),
+            NaiveContractSigning(make_contract_exchange(16)),
+            CoinOrderedContractSigning(make_contract_exchange(16)),
+        ):
+            total = sum(
+                estimate_utility(
+                    protocol, fixed(name, strategy), gamma, runs,
+                    seed=(name, protocol.name),
+                ).mean
+                for name, strategy in (("a1", a1_strategy), ("a2", a2_strategy))
+            )
+            assert total >= gamma.gamma10 + gamma.gamma11 - 2 * tol, protocol
 
     def test_optimality_within_protocol_universe(self):
         strategies = lock_watch_space(2)
@@ -223,3 +247,10 @@ class TestTheorem6:
         for t in range(1, n):
             expected = per_t_bound(n, t, STANDARD_GAMMA) - STANDARD_GAMMA.gamma11
             assert cost(t) == pytest.approx(expected, abs=2 * TOL)
+        # Theorem 6(2): Π½GMW's derived cost is cheaper below n/2 only,
+        # so it does not strictly dominate.
+        competitor = balance_profile(
+            ThresholdGmwProtocol(make_concat(n, 8)), factories_per_t,
+            STANDARD_GAMMA, n_runs=300, seed=10,
+        )
+        assert no_strictly_dominated_cost_exists(profile, [competitor], tol=TOL)

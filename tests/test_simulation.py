@@ -83,15 +83,19 @@ class TestIndistinguishability:
 
     def test_simulator_payoff_respects_theorem3_bound(self):
         """SA's expected payoff (over its own event ledger) never exceeds
-        (γ10 + γ11)/2 for any scripted strategy."""
+        (γ10 + γ11)/2 for any scripted strategy, whichever party it
+        corrupts."""
         from repro.core import STANDARD_GAMMA
 
-        for name, make in STRATEGIES.items():
-            _, _, events = opt2sfe_outcome_distributions(
-                lambda: make(0), 0, n_runs=250, seed=("pay", name)
-            )
-            total = sum(events.values())
-            payoff = sum(
-                STANDARD_GAMMA.value(e) * c / total for e, c in events.items()
-            )
-            assert payoff <= 0.75 + 0.09, name
+        for corrupted in (0, 1):
+            for name, make in STRATEGIES.items():
+                seed = ("pay", name) + ((corrupted,) if corrupted else ())
+                _, _, events = opt2sfe_outcome_distributions(
+                    lambda: make(corrupted), corrupted, n_runs=250, seed=seed
+                )
+                total = sum(events.values())
+                payoff = sum(
+                    STANDARD_GAMMA.value(e) * c / total
+                    for e, c in events.items()
+                )
+                assert payoff <= 0.75 + 0.09, (name, corrupted)

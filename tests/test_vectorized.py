@@ -22,8 +22,10 @@ fall back.  These tests pin both halves:
 * **footprint** — no ``repro`` entry point imports NumPy.
 """
 
+import importlib
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,6 +43,7 @@ from repro.analysis import (
     run_batch,
     run_stats_to_dict,
 )
+from repro.crypto import prf
 from repro.engine.faults import ChannelFaultModel, EngineFaults
 from repro.functions import make_and, make_concat, make_millionaires
 from repro.gmw import ThresholdGmwProtocol
@@ -61,6 +64,7 @@ from repro.runtime import (
     resolve_runner,
     vectorizable,
 )
+from repro.runtime.vectorized import SentinelRng, kernel_for
 from repro.verify import verify_claims
 from repro.verify.claims import constant_inputs
 
@@ -465,6 +469,61 @@ def test_pool_auto_keeps_release_kernels_on_narrow_chunks():
     assert pool.last_stats.execution_backend == "vectorized"
     assert pool.last_stats.vectorized_runs == 64
     assert {c.engine for c in pool.last_stats.chunks} == {"vectorized"}
+
+
+# One task per kernel family, in the family's matcher's own terms.
+KERNEL_FAMILIES = {
+    "gordon_katz": lambda: (
+        GordonKatzProtocol(make_and(), p=2),
+        fixed("known-output", lambda: KnownOutputStopper(0, known_output=1)),
+        constant_inputs((1, 1)),
+    ),
+    "release": lambda: (
+        SingleRoundProtocol(make_and()), _lock_watch({0}),
+        constant_inputs((1, 1)),
+    ),
+    "priv_sfe": lambda: (
+        OptNSfeProtocol(make_concat(4, 8)), _lock_watch({0, 1}), None,
+    ),
+}
+
+
+@pytest.mark.parametrize("width", [8, 16, 64])
+@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+def test_kernel_chunk_needs_fewer_digests_than_the_engine(
+    monkeypatch, family, width
+):
+    """Every kernel family beats the engine on narrow and wide chunks,
+    the 16-run chunks of the pool and service venues included, so
+    dispatch may ignore the width.  Cost is counted, not timed: the SHA-256 digests
+    behind ``Rng`` forks and ``Prg`` reads, which both paths draw the
+    run's streams through.  Building the kernel (its calibration runs)
+    is a once-per-task cost and stays outside the count."""
+    protocol, factory, sampler = KERNEL_FAMILIES[family]()
+    task = ExecutionTask(
+        protocol, factory, width, seed=("kernel-digests", family, width),
+        input_sampler=sampler,
+    )
+    kernel = kernel_for(task)
+    matcher = importlib.import_module(
+        f"repro.runtime.vectorized.kernels.{family}"
+    ).matcher
+    assert matcher(task, factory(SentinelRng())) is not None
+
+    sha256 = prf.hashlib.sha256
+    digests = []
+
+    def counting(*args):
+        digests.append(None)
+        return sha256(*args)
+
+    monkeypatch.setattr(prf, "hashlib", SimpleNamespace(sha256=counting))
+    vec = kernel(0, width)
+    kernel_digests = len(digests)
+    ref = task.run_chunk(0, width)
+    engine_digests = len(digests) - kernel_digests
+    assert vec == ref
+    assert kernel_digests < engine_digests, (kernel_digests, engine_digests)
 
 
 def test_cache_warmed_by_one_backend_serves_the_other(tmp_path):

@@ -343,3 +343,35 @@ class TestLemma17CorrectedConstant:
         assert abs(check.measurement.value - check.analytic_value) < abs(
             check.measurement.value - display
         )
+
+
+class TestLeakySeparationClaims:
+    """E11: Lemma 26's separation and Lemma 27's privacy, measured on the
+    Π̃ per-run kernel."""
+
+    @pytest.mark.parametrize("budget", ["small", "medium"])
+    def test_claims_hold(self, budget):
+        report = verify_claims("E11", budget=budget, seed="7")
+        assert {c.claim.claim_id: c.verdict for c in report.checks} == {
+            "E11-leak": Verdict.OK,
+            "E11-separation": Verdict.OK,
+            "E11-privacy": Verdict.OK,
+        }
+        statements = {c.claim.claim_id: c.claim.statement for c in report.checks}
+        assert statements["E11-separation"].startswith("Lemma 26")
+        assert statements["E11-privacy"].startswith("Lemma 27")
+
+    @pytest.mark.parametrize("claim_id,measure,value", [
+        # A real world that obeys the Fsfe$ bound Pr[Z1] ≤ ¾·Pr[Z2].
+        ("E11-separation", "leaky_distinguisher_probabilities", (0.15, 0.25)),
+        # Views a simulator could not reproduce.
+        ("E11-privacy", "leaky_privacy_distance", 0.5),
+    ])
+    def test_claims_fail_on_a_broken_measurement(
+        self, monkeypatch, claim_id, measure, value
+    ):
+        import repro.analysis as analysis
+
+        monkeypatch.setattr(analysis, measure, lambda n_runs, seed: value)
+        (check,) = verify_claims(claim_id, budget="small", seed="7").checks
+        assert check.verdict is Verdict.VIOLATED
