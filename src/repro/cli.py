@@ -31,10 +31,12 @@ re-running a sweep with the same protocol, strategies, seed, and fault
 config replays stored chunk partials bit-identically instead of
 recomputing them.  ``--journal DIR``
 (or ``REPRO_JOURNAL_DIR``) enables the crash-safe run ledger: every
-completed chunk partial is durably stored, and every run replays the
-spans ``DIR`` already holds instead of recomputing them, so rerunning an
+completed chunk partial is stored, and every run replays the spans
+``DIR`` already holds instead of recomputing them, so rerunning an
 interrupted command with the same ``--journal`` resumes it — the result
-is byte-identical to an uninterrupted run.  ``--backend`` selects the
+is byte-identical to an uninterrupted run.  A process crash loses
+nothing recorded; a machine crash may cost recomputation, never a wrong
+answer.  ``--backend`` selects the
 execution engine: ``auto`` (default) hands the chunks of an eligible
 (protocol, strategy) combination to its vectorized chunk kernel and
 runs everything else on the reference state machine, ``reference``
@@ -193,9 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="crash-safe run-ledger directory (default: $REPRO_JOURNAL_DIR "
-        "or no journal); every completed chunk partial is durably stored, "
-        "and chunks already stored there are replayed, so rerunning an "
-        "interrupted command with the same directory resumes it",
+        "or no journal); every completed chunk partial is stored there "
+        "and replayed by later runs, so rerunning an interrupted command "
+        "with the same directory resumes it; a process crash loses "
+        "nothing recorded, a machine crash may cost recomputation, never "
+        "a wrong answer",
     )
     parser.add_argument(
         "--backend",

@@ -20,10 +20,10 @@ different soundness arguments:
   is bit-identically replayable: a stored partial *is* the value the
   chunk would compute, so merge order and early-stop decisions are
   unchanged.  Two classes share this module's key, entry format,
-  directory layout and quarantine rule: :class:`ChunkCache` (unsynced,
-  consulted inside the worker that runs the chunk) and
-  :class:`~repro.runtime.journal.RunJournal` (fsynced, consulted by the
-  parent).  Both are opt-in: a store exists only when a flag or its
+  directory layout, quarantine rule and write path: :class:`ChunkCache`
+  (consulted inside the worker that runs the chunk) and
+  :class:`~repro.runtime.journal.RunJournal` (consulted by the parent).
+  Both are opt-in: a store exists only when a flag or its
   environment variable (``--cache``/``REPRO_CACHE_DIR``,
   ``--journal``/``REPRO_JOURNAL_DIR``) names a directory, and only
   :func:`~repro.runtime.runner.resolve_runner` reads those variables.
@@ -139,14 +139,15 @@ def read_entry(root: Path, key: str) -> Tuple[str, object]:
     return "hit", partial
 
 
-def write_entry(root: Path, key: str, partial, durable: bool = False) -> bool:
+def write_entry(root: Path, key: str, partial) -> bool:
     """Atomically persist one partial; ``False`` when it could not be.
 
     Writes a temp file beside the entry and ``os.replace``s it into
-    place, so concurrent writers and a crash mid-write leave at worst a
-    stray ``.tmp`` file, never a half-written entry.  ``durable`` adds an
-    ``fsync`` before the rename.  A partial the codec cannot encode and a
-    failed write both return ``False``.
+    place, so concurrent writers and a process killed mid-write leave at
+    worst a stray ``.tmp`` file.  A process crash loses nothing recorded;
+    a machine crash may cost recomputation, never a wrong answer (a lost
+    entry is a miss, a torn one fails its checksum).  A partial the codec
+    cannot encode and a failed write both return ``False``.
     """
     try:
         encoded = encode_partial(partial)
@@ -164,9 +165,6 @@ def write_entry(root: Path, key: str, partial, durable: bool = False) -> bool:
                 handle.write(
                     _ENTRY_MAGIC + hashlib.sha256(payload).digest() + payload
                 )
-                if durable:
-                    handle.flush()
-                    os.fsync(handle.fileno())
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -1,4 +1,4 @@
-"""Crash-safe run ledger: durable checkpoints of completed chunk partials.
+"""Crash-safe run ledger: checkpoints of completed chunk partials.
 
 A :class:`RunJournal` is a content-addressed store of chunk partials
 that the runner reads on every run and writes after every chunk it
@@ -10,14 +10,12 @@ the rest.  Its ``deterministic_payload`` is byte-identical to an
 uninterrupted run on every venue (serial, process-pool).  Resuming is
 just running again with the same ``--journal``.
 
-Key, entry format, directory layout and quarantine rule are the chunk
-cache's (see :mod:`repro.runtime.cache`); what differs is where each
-runs.  The journal lives in the parent process, and every append is
-fsynced before the atomic rename, so a SIGKILL at any instant leaves
-either the whole entry or none of it.  Corrupt entries are quarantined
-and counted in ``journal_corrupt_records``: a damaged ledger degrades
-to recomputation, never to a wrong answer.  Opaque tasks (no stable
-content identity) are never journaled.
+Everything but where it runs (the parent) is the chunk cache's: key,
+entry format, layout, quarantine rule and rename-only write path (see
+:mod:`repro.runtime.cache`).  A process crash loses nothing recorded; a
+machine crash may cost recomputation, never a wrong answer: a lost entry
+is a miss, a torn one is quarantined and counted in
+``journal_corrupt_records``.  Opaque tasks are never journaled.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from .config import knob
 
 
 class RunJournal:
-    """Durable, checksummed, content-addressed store of chunk partials."""
+    """Checksummed, content-addressed store of chunk partials."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -43,16 +41,17 @@ class RunJournal:
         return f"RunJournal(root={str(self.root)!r})"
 
     def record(self, task, start: int, stop: int, partial) -> bool:
-        """Durably store one computed chunk; ``True`` when journaled.
+        """Store one computed chunk; ``True`` when journaled.
 
-        Best-effort like the chunk cache: an opaque task, an unencodable
-        partial, or a full disk leaves the chunk unjournaled (the next
-        run recomputes it), never a failed batch.
+        A process crash then loses nothing; a machine crash may cost
+        recomputation, never a wrong answer.  An opaque task, an
+        unencodable partial or a full disk leaves the chunk unjournaled
+        (the next run recomputes it), never a failed batch.
         """
         key = chunk_key(task, start, stop)
         if key is None:
             return False
-        return write_entry(self.root, key, partial, durable=True)
+        return write_entry(self.root, key, partial)
 
     def fetch(self, task, start: int, stop: int):
         """``(True, partial)`` when the chunk is journaled, else

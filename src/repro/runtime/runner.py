@@ -65,9 +65,9 @@ from .workers import LIVENESS_POLL_S, Worker
 SMALL_BATCH_THRESHOLD = 64
 
 #: Spans a pool worker holds at once.  The second waits in its pipe, so
-#: the worker goes on computing while the parent is busy with a reply
-#: (a journal record's fsync, the merge), which one span at a time left
-#: it idle for.
+#: the worker goes on computing while the parent creates a journal
+#: entry's file and merges (store-replay ``wall_s`` 0.689 s against
+#: 0.723 s at depth 1, medians of 8 pairs on a 2-vCPU host).
 PIPELINE_DEPTH = 2
 
 
@@ -329,7 +329,9 @@ class BatchRunner:
         return hit, part
 
     def _journal_record(self, task, start, stop, part, log: BatchLog) -> None:
-        """Durably store one computed span in the run ledger."""
+        """Store one computed span in the run ledger: a process crash
+        loses nothing recorded; a machine crash may cost recomputation,
+        never a wrong answer."""
         if self.journal is None:
             return
         if self.journal.record(task, start, stop, part):

@@ -108,10 +108,10 @@ class RunStats:
     timeouts: int = 0
     serial_replays: int = 0
     cancelled_chunks: int = 0
-    #: Crash-safe run-ledger traffic (see ``runtime.journal``): spans
-    #: replayed from the journal, spans durably stored by this batch, and
-    #: entries quarantined as corrupt (bad checksum, misfiled, or
-    #: undecodable).
+    #: Run-ledger traffic (see ``runtime.journal``): spans replayed,
+    #: spans stored (a process crash loses none; a machine crash may cost
+    #: recomputation, never a wrong answer) and entries quarantined as
+    #: corrupt (torn, bad checksum, misfiled or undecodable).
     journal_replayed_chunks: int = 0
     journal_appended_chunks: int = 0
     journal_corrupt_records: int = 0

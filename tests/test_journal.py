@@ -1,8 +1,11 @@
 """Crash-safe run ledger: record/replay round-trips on every venue,
 quarantine of corrupt entries, records of tasks that share a label
 surviving each other, opaque-task exclusion, the entry format shared
-with the chunk cache, and the resolve_journal precedence contract
+with the chunk cache, the rename-only write path and the entries a
+machine crash can leave, and the resolve_journal precedence contract
 (``--journal`` vs ``REPRO_JOURNAL_DIR``)."""
+
+import os
 
 import pytest
 
@@ -17,12 +20,13 @@ from repro.runtime import (
     ChunkCache,
     ExecutionTask,
     ProcessPoolRunner,
+    SMALL_BATCH_THRESHOLD,
     RetryPolicy,
     RunJournal,
     SerialRunner,
     resolve_journal,
 )
-from repro.runtime.cache import chunk_key, entry_path
+from repro.runtime.cache import _HEADER_BYTES, chunk_key, entry_path
 
 from .conftest import payload_fingerprint
 
@@ -45,6 +49,22 @@ def _serial(journal=None):
         fault=NO_FAULTS,
         journal=journal,
     )
+
+
+def _pool(journal=None):
+    return ProcessPoolRunner(
+        2,
+        chunk_size=6,
+        retry=RetryPolicy(max_retries=2, **FAST),
+        fault=NO_FAULTS,
+        journal=journal,
+    )
+
+
+#: Both venues, each given a batch large enough that the pool does not
+#: fall back to serial (``SMALL_BATCH_THRESHOLD`` runs in all).
+VENUES = {"serial": _serial, "pool": _pool}
+_VENUE_RUNS = SMALL_BATCH_THRESHOLD // 2
 
 
 def _entries(root):
@@ -169,6 +189,56 @@ class TestRecordResume:
         values = second.run(_tasks())
         assert payload_fingerprint(values) == payload_fingerprint(baseline)
         assert second.last_stats.journal_replayed_chunks >= 1
+
+
+# -- write path and machine-crash leftovers -----------------------------------
+
+
+@pytest.mark.parametrize("venue", sorted(VENUES))
+def test_journal_writes_without_fsync(venue, tmp_path, monkeypatch):
+    """Journal and chunk cache share one rename-only write path: a
+    journaled batch on either venue records every span without ever
+    calling ``os.fsync``."""
+    baseline = _serial().run(_tasks(_VENUE_RUNS))
+
+    def no_fsync(fd):
+        raise AssertionError("the run journal must not fsync")
+
+    monkeypatch.setattr(os, "fsync", no_fsync)
+    runner = VENUES[venue](journal=RunJournal(tmp_path))
+    values = runner.run(_tasks(_VENUE_RUNS))
+    stats = runner.last_stats
+    assert stats.backend == ("serial" if venue == "serial" else "process-pool")
+    assert stats.journal_appended_chunks == stats.n_chunks
+    assert payload_fingerprint(values) == payload_fingerprint(baseline)
+
+
+#: What a machine crash can leave at an entry's final path once the
+#: rename reached the disk before the data did.
+TORN_ENTRIES = {
+    "empty": lambda raw: b"",
+    "header-only": lambda raw: raw[:_HEADER_BYTES],
+    "zero-filled": lambda raw: bytes(len(raw)),
+}
+
+
+@pytest.mark.parametrize("state", sorted(TORN_ENTRIES))
+@pytest.mark.parametrize("venue", sorted(VENUES))
+def test_torn_entry_is_quarantined_and_recomputed(venue, state, tmp_path):
+    baseline = _serial().run(_tasks(_VENUE_RUNS))
+    _serial(journal=RunJournal(tmp_path)).run(_tasks(_VENUE_RUNS))
+    records = _entries(tmp_path)
+    victim = records[len(records) // 2]
+    victim.write_bytes(TORN_ENTRIES[state](victim.read_bytes()))
+
+    resumed = VENUES[venue](journal=RunJournal(tmp_path))
+    values = resumed.run(_tasks(_VENUE_RUNS))
+    assert payload_fingerprint(values) == payload_fingerprint(baseline)
+    stats = resumed.last_stats
+    assert stats.journal_corrupt_records == 1
+    assert stats.journal_replayed_chunks == len(records) - 1
+    assert stats.journal_appended_chunks == 1
+    assert list(tmp_path.glob("*/*.corrupt")) == [victim.with_suffix(".corrupt")]
 
 
 # -- opaque tasks -------------------------------------------------------------
