@@ -30,7 +30,6 @@ from ..core.utility import (
     estimate_from_counts,
 )
 from ..crypto.prf import Rng
-from ..engine.faults import EngineFaults
 from ..runtime import (
     BatchRunner,
     EarlyStopRule,
@@ -55,7 +54,6 @@ def run_batch(
     jobs: Optional[int] = None,
     runner: Optional[BatchRunner] = None,
     early_stop: Optional[EarlyStopRule] = None,
-    faults: Optional[EngineFaults] = None,
 ) -> EventCounts:
     """Run ``n_runs`` executions, returning the event counts.
 
@@ -64,16 +62,10 @@ def run_batch(
     (wall clock, executions/sec, backend, retry/degradation counters) as
     an explicit ``run_stats`` attribute rather than a monkey-patched one,
     so it survives pickling; merging folds back into plain event counts.
-
-    ``faults`` optionally runs every execution under engine-level fault
-    injection (``repro.engine.faults``); ``None`` — the default, never an
-    environment variable — keeps the network lossless.
     """
     if n_runs <= 0:
         raise ValueError("need at least one run")
-    task = ExecutionTask(
-        protocol, adversary_factory, n_runs, seed, input_sampler, faults
-    )
+    task = ExecutionTask(protocol, adversary_factory, n_runs, seed, input_sampler)
     active = _runner_for(runner, jobs)
     counts = active.run_one(task, early_stop=early_stop)
     return MeasuredCounts(counts, active.last_stats)
@@ -90,7 +82,6 @@ def estimate_utility(
     jobs: Optional[int] = None,
     runner: Optional[BatchRunner] = None,
     early_stop: Optional[EarlyStopRule] = None,
-    faults: Optional[EngineFaults] = None,
 ) -> UtilityEstimate:
     """Estimate u_A(Π, A) for one strategy."""
     counts = run_batch(
@@ -102,7 +93,6 @@ def estimate_utility(
         jobs=jobs,
         runner=runner,
         early_stop=early_stop,
-        faults=faults,
     )
     return estimate_from_counts(
         counts,
@@ -123,7 +113,6 @@ def sweep_strategies(
     jobs: Optional[int] = None,
     runner: Optional[BatchRunner] = None,
     early_stop: Optional[EarlyStopRule] = None,
-    faults: Optional[EngineFaults] = None,
 ) -> List[UtilityEstimate]:
     """Estimate the utility of every strategy in a space.
 
@@ -132,9 +121,7 @@ def sweep_strategies(
     """
     factories = list(factories)
     tasks = [
-        ExecutionTask(
-            protocol, factory, n_runs, (seed, idx), input_sampler, faults
-        )
+        ExecutionTask(protocol, factory, n_runs, (seed, idx), input_sampler)
         for idx, factory in enumerate(factories)
     ]
     active = _runner_for(runner, jobs)
@@ -160,7 +147,6 @@ def assess_protocol(
     jobs: Optional[int] = None,
     runner: Optional[BatchRunner] = None,
     early_stop: Optional[EarlyStopRule] = None,
-    faults: Optional[EngineFaults] = None,
 ) -> ProtocolAssessment:
     """sup over the strategy space → a ProtocolAssessment (Definition 1)."""
     estimates = sweep_strategies(
@@ -173,7 +159,6 @@ def assess_protocol(
         jobs=jobs,
         runner=runner,
         early_stop=early_stop,
-        faults=faults,
     )
     return assess(protocol.name, gamma, estimates)
 

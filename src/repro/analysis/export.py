@@ -17,12 +17,10 @@ from ..core.balance import BalanceProfile
 from ..core.fairness import ProtocolAssessment
 from ..core.payoff import PayoffVector
 from ..core.utility import UtilityEstimate
-from ..engine.faults import EngineFaults
 from ..runtime import ChunkStats, RunStats
 from ..verify.claims import Claim, Measurement
 from ..verify.checker import ClaimCheck, VerificationReport
 from .comparison import FairnessOrder
-from .fault_sensitivity import FaultSensitivityCurve, FaultSensitivityPoint
 from .reconstruction import ReconstructionMeasurement
 
 
@@ -162,43 +160,6 @@ def run_stats_to_dict(stats: RunStats) -> dict:
     }
 
 
-def engine_faults_to_dict(faults: EngineFaults) -> dict:
-    return faults.to_dict()
-
-
-def fault_point_to_dict(point: FaultSensitivityPoint) -> dict:
-    return {
-        "loss": point.loss,
-        "crash_rate": point.crash_rate,
-        "utility": point.utility,
-        "hung_fraction": point.hung_fraction,
-        "best": estimate_to_dict(point.estimate),
-        "estimates": [estimate_to_dict(e) for e in point.estimates],
-        "faults": (
-            engine_faults_to_dict(point.faults)
-            if point.faults is not None
-            else {}
-        ),
-    }
-
-
-def fault_curve_to_dict(curve: FaultSensitivityCurve) -> dict:
-    return {
-        "protocol": curve.protocol_name,
-        "gamma": gamma_to_dict(curve.gamma),
-        "n_runs": curve.n_runs,
-        "seed": repr(curve.seed),
-        "fault_seed": repr(curve.fault_seed),
-        "points": [
-            dict(
-                fault_point_to_dict(p),
-                erosion=curve.erosion(p),
-            )
-            for p in curve.points
-        ],
-    }
-
-
 def claim_to_dict(claim: Claim) -> dict:
     return {
         "claim_id": claim.claim_id,
@@ -298,9 +259,6 @@ _EXPORTERS = {
     ClaimCheck: claim_check_to_dict,
     Claim: claim_to_dict,
     Measurement: measurement_to_dict,
-    FaultSensitivityCurve: fault_curve_to_dict,
-    FaultSensitivityPoint: fault_point_to_dict,
-    EngineFaults: engine_faults_to_dict,
     UtilityEstimate: estimate_to_dict,
     ProtocolAssessment: assessment_to_dict,
     BalanceProfile: profile_to_dict,

@@ -8,7 +8,6 @@ Commands
 ``balance``        per-t utility profile + utility-balance verdict
 ``reconstruction`` measure a protocol's reconstruction rounds
 ``curve``          per-t utility curves for two protocols + crossover
-``fault-sensitivity`` utility-erosion curve under engine fault injection
 ``profile``        cProfile a small batch and print the top hotspots
 ``verify``         check the registered paper claims (E1–E21) and exit
                    0 (all ok) / 1 (violated) / 2 (bad claim spec)
@@ -27,10 +26,9 @@ in-process replay), and ``--stats`` appends a JSON dump of every batch's
 ``RunStats`` — including retry and degradation counters, per-phase
 timings, and cache traffic — after the command output.  ``--cache DIR``
 (or ``REPRO_CACHE_DIR``) enables the persistent chunk-result cache:
-re-running a sweep with the same protocol, strategies, seed, and fault
-config replays stored chunk partials bit-identically instead of
-recomputing them.  ``--journal DIR``
-(or ``REPRO_JOURNAL_DIR``) enables the crash-safe run ledger: every
+re-running a sweep with the same protocol, strategies and seed replays
+stored chunk partials bit-identically instead of recomputing them.
+``--journal DIR`` (or ``REPRO_JOURNAL_DIR``) enables the crash-safe run ledger: every
 completed chunk partial is stored, and every run replays the spans
 ``DIR`` already holds instead of recomputing them, so rerunning an
 interrupted command with the same ``--journal`` resumes it — the result
@@ -61,19 +59,16 @@ from .adversaries import (
     strategy_space_for_protocol,
 )
 from .analysis import (
-    DEFAULT_LOSS_RATES,
     assess_protocol,
     balance_profile,
     build_order,
     crossover,
-    fault_sensitivity,
     format_table,
     measure_reconstruction_rounds,
     save_json,
     utility_curve,
 )
 from .analysis import run_stats_to_dict
-from .core.events import FairnessEvent
 from .core import (
     PayoffVector,
     balanced_sum_bound,
@@ -126,21 +121,6 @@ def _protocol_registry(n: int) -> Dict[str, object]:
     return registry
 
 
-def _parse_rates(text: str) -> List[float]:
-    try:
-        rates = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid rate list: {text!r}")
-    if not rates:
-        raise argparse.ArgumentTypeError("need at least one rate")
-    for rate in rates:
-        if not 0.0 <= rate <= 1.0:
-            raise argparse.ArgumentTypeError(
-                f"rates must lie in [0, 1], got {rate}"
-            )
-    return rates
-
-
 def _parse_gamma(text: str) -> PayoffVector:
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 4:
@@ -188,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="persistent chunk-result cache directory (default: "
         "$REPRO_CACHE_DIR or no cache); identical (protocol, strategy, "
-        "seed, span, faults) chunks are replayed from disk",
+        "seed, span) chunks are replayed from disk",
     )
     parser.add_argument(
         "--journal",
@@ -254,37 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     curve = sub.add_parser("curve", help="per-t curves of two protocols")
     curve.add_argument("protocol_a")
     curve.add_argument("protocol_b")
-
-    faults = sub.add_parser(
-        "fault-sensitivity",
-        help="fairness erosion under unreliable channels / crash faults",
-    )
-    faults.add_argument("protocol")
-    faults.add_argument(
-        "--loss",
-        type=_parse_rates,
-        default=list(DEFAULT_LOSS_RATES),
-        help="comma-separated channel-loss rates to sweep "
-        "(default 0,0.05,0.1,0.2)",
-    )
-    faults.add_argument(
-        "--crash",
-        type=_parse_rates,
-        default=[0.0],
-        help="comma-separated crash probabilities to sweep (default 0)",
-    )
-    faults.add_argument(
-        "--fault-seed",
-        default="cli-faults",
-        help="seed of the deterministic fault pattern",
-    )
-    faults.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the full erosion-curve artifact (fault config "
-        "included) as JSON",
-    )
 
     prof = sub.add_parser(
         "profile",
@@ -357,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd = sub.add_parser(
         "serve",
         help="serve the whole experiment surface as a JSON-RPC job API "
-        "(estimate_utility, sweep_strategies, fault_sensitivity, "
-        "verify_claims)",
+        "(estimate_utility, sweep_strategies, verify_claims)",
     )
     serve_cmd.add_argument(
         "--listen",
@@ -505,48 +453,6 @@ def cmd_curve(args, registry) -> str:
     return "\n".join(
         [format_table(["t", a.name, b.name], rows), verdict]
     )
-
-
-def cmd_fault_sensitivity(args, registry) -> str:
-    protocol = _get(registry, args.protocol)
-    space = strategy_space_for_protocol(protocol)
-    curve = fault_sensitivity(
-        protocol,
-        space,
-        args.gamma,
-        loss_rates=args.loss,
-        crash_rates=args.crash,
-        n_runs=args.runs,
-        seed=args.seed,
-        fault_seed=args.fault_seed,
-        runner=args.runner,
-    )
-    rows = []
-    for point in curve.points:
-        erosion = curve.erosion(point)
-        rows.append(
-            [
-                f"{point.loss:.3f}",
-                f"{point.crash_rate:.3f}",
-                f"{point.utility:.4f}",
-                f"{point.event_frequency(FairnessEvent.E10):.3f}",
-                f"{point.event_frequency(FairnessEvent.E11):.3f}",
-                f"{point.hung_fraction:.3f}",
-                "—" if erosion is None else f"{erosion:+.4f}",
-            ]
-        )
-    lines = [
-        f"protocol: {protocol.name}",
-        f"strategies swept per grid point: {len(space)}",
-        format_table(
-            ["loss", "crash", "sup utility", "E10", "E11", "hung", "erosion"],
-            rows,
-        ),
-    ]
-    if args.out:
-        path = save_json(curve, args.out)
-        lines.append(f"artifact written: {path}")
-    return "\n".join(lines)
 
 
 def cmd_profile(args, registry) -> str:
@@ -750,7 +656,6 @@ COMMANDS = {
     "balance": cmd_balance,
     "reconstruction": cmd_reconstruction,
     "curve": cmd_curve,
-    "fault-sensitivity": cmd_fault_sensitivity,
     "profile": cmd_profile,
     "verify": cmd_verify,
     "serve": cmd_serve,

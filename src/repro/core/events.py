@@ -40,11 +40,10 @@ class FairnessEvent(Enum):
 
     ``HONEST_HUNG`` is outside the paper's 2×2 grid: it marks a run in
     which an honest party produced *no* output at all — not even ⊥ — by
-    the round bound.  That can only happen under engine-level fault
-    injection (under a lossless network it is a loud
-    ``ProtocolViolation``), and it is carried through the event counts so
-    a faulty network degrades measurements gracefully instead of killing
-    the batch.  Payoff-wise it is valued like E00: nobody learned.
+    the round bound.  That is a protocol bug, and the engine raises
+    ``ProtocolViolation``; batch runners carry the run through the event
+    counts as ``HONEST_HUNG`` instead of losing the whole chunk.
+    Payoff-wise it is valued like E00: nobody learned.
     """
 
     E00 = "00"
@@ -79,19 +78,17 @@ def adversary_learned_output(
 
 
 def honest_learned_output(result: ExecutionResult, func: FunctionSpec) -> bool:
-    """Did every surviving honest party obtain its (correct or
-    default-evaluated) output?
+    """Did every honest party obtain its (correct or default-evaluated)
+    output?
 
-    Crash-stopped parties are excluded (fail-stop convention: fairness is
-    assessed over the survivors), but a *hung* party — honest, alive, and
-    yet absent from ``outputs`` — makes this ``False`` rather than being
-    silently skipped.
+    A *hung* party — honest, yet absent from ``outputs`` — makes this
+    ``False`` rather than being silently skipped.
     """
-    surviving = result.surviving_honest
-    if not surviving:
+    honest = result.honest
+    if not honest:
         return False
     true_outputs = func.outputs_for(result.inputs)
-    for i in sorted(surviving):
+    for i in sorted(honest):
         rec = result.outputs.get(i)
         if rec is None:
             return False  # hung: no output record at all
@@ -109,15 +106,7 @@ def classify(result: ExecutionResult, func: FunctionSpec) -> FairnessEvent:
     if result.hung:
         return FairnessEvent.HONEST_HUNG
     if not result.corrupted:
-        # Paper convention: no corruption ⇒ E01.  But when engine faults
-        # actually materialised (drops, crashes), the honest parties can
-        # fail to learn with no adversary at all — report E00 then, so a
-        # fault sweep sees the erosion.  Without fault evidence the run is
-        # indistinguishable from a lossless one and the convention stands.
-        faulted = result.crashed or result.hung or result.fault_events
-        if faulted and not honest_learned_output(result, func):
-            return FairnessEvent.E00
-        return FairnessEvent.E01
+        return FairnessEvent.E01  # paper convention: no corruption ⇒ E01
     if len(result.corrupted) == result.n:
         return FairnessEvent.E11
     learned = adversary_learned_output(result, func)

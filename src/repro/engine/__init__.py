@@ -27,20 +27,8 @@ from .execution import (
     ProtocolViolation,
     run_execution,
 )
-from .faults import (
-    NO_ENGINE_FAULTS,
-    ChannelDecision,
-    ChannelFaultModel,
-    EngineFaults,
-    PartyFaultModel,
-)
 
 __all__ = [
-    "NO_ENGINE_FAULTS",
-    "ChannelDecision",
-    "ChannelFaultModel",
-    "EngineFaults",
-    "PartyFaultModel",
     "ABORT",
     "Inbox",
     "Message",

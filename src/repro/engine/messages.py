@@ -38,13 +38,6 @@ class Message:
     ``sender`` is a party index, or a string for functionality responses
     (the functionality's name).  ``receiver`` is a party index, or ``None``
     for a broadcast.
-
-    ``annotation`` is set only by the engine's fault layer when it logs a
-    delivery *attempt* in the transcript: ``"dropped"`` (never arrived),
-    ``"delayed+k"`` (arrived ``k`` rounds late), or ``"duplicate"`` (an
-    extra delivered copy).  Faulted broadcast attempts are logged with the
-    concrete ``receiver`` they were addressed to, so a transcript replay
-    can tell which parties actually saw the broadcast.
     """
 
     sender: Union[int, str]
@@ -52,17 +45,6 @@ class Message:
     payload: object
     round: int
     broadcast: bool = False
-    annotation: Optional[str] = None
-
-    @property
-    def delivered(self) -> bool:
-        """Did this transcript entry reach its receiver's inbox?
-
-        Dropped attempts never arrive; delayed ones do, eventually (the
-        engine drops — and re-annotates — a delay that would overshoot the
-        round bound, so a ``delayed+k`` entry always landed).
-        """
-        return self.annotation != "dropped"
 
     def is_from_party(self, index: int) -> bool:
         return self.sender == index

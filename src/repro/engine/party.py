@@ -124,18 +124,6 @@ class PartyMachine(ABC):
     def on_round(self, round_no: int, inbox: Inbox, ctx: PartyContext) -> None:
         """Process one synchronous round."""
 
-    def fallback_output(self, ctx: PartyContext) -> None:
-        """Produce this party's graceful-degradation output.
-
-        Called by the engine when fault injection is active and the machine
-        reached the round bound without outputting (an expected message
-        never arrived, so the prescribed flow stalled).  The paper's
-        protocols all specify what an honest party does on a detected abort
-        — output the default value, or ⊥ — and concrete machines override
-        this to take exactly that path.  The base implementation outputs ⊥.
-        """
-        ctx.output_abort()
-
 
 @dataclass
 class PartyView:
@@ -190,25 +178,6 @@ class HonestRunner:
         self.view.sent.extend(ctx.outgoing)
         self.current_round = round_no + 1
         return ctx
-
-    def finish_fallback(self) -> Optional[OutputRecord]:
-        """Ask the machine for its graceful-degradation output.
-
-        Invoked by the engine after the round bound when fault injection is
-        active and the machine never output.  Outgoing traffic produced by
-        the fallback is discarded — the protocol is over.  Returns the
-        output record, or ``None`` if the machine declined even the
-        fallback (the party is then counted as hung).
-        """
-        if self.output is not None:
-            return self.output
-        ctx = PartyContext(
-            self.machine.index, self.machine.n, self.max_rounds, self.rng
-        )
-        self.machine.fallback_output(ctx)
-        if ctx.produced_output is not None:
-            self.output = ctx.produced_output
-        return self.output
 
     def clone(self) -> "HonestRunner":
         """Independent copy, for counterfactual simulation by an adversary.

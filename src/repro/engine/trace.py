@@ -44,20 +44,13 @@ def describe_message(message: Message) -> str:
         if isinstance(message.sender, int)
         else str(message.sender)
     )
-    if message.broadcast and message.receiver is None:
+    if message.broadcast:
         target = "∗"
-    elif message.broadcast:
-        # A per-receiver broadcast delivery attempt logged by the fault
-        # layer: show both the broadcast nature and the concrete receiver.
-        target = f"∗p{message.receiver}"
     elif message.receiver is None:
         target = "?"
     else:
         target = f"p{message.receiver}"
-    line = f"{sender} → {target}: {summarize_payload(message.payload)}"
-    if message.annotation is not None:
-        line += f" [{message.annotation}]"
-    return line
+    return f"{sender} → {target}: {summarize_payload(message.payload)}"
 
 
 def render_transcript(result: ExecutionResult, max_rounds: int = None) -> str:
@@ -87,15 +80,7 @@ def render_transcript(result: ExecutionResult, max_rounds: int = None) -> str:
         lines.append(
             f"adversary claim: {summarize_payload(result.adversary_claim)}"
         )
-    if result.crashed:
-        lines.append(f"crashed: {sorted(result.crashed)}")
     if result.hung:
         lines.append(f"hung: {sorted(result.hung)}")
-    if result.fault_events:
-        summary = ", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(result.fault_events.items())
-        )
-        lines.append(f"fault events: {summary}")
     lines.append(f"rounds used: {result.rounds_used}")
     return "\n".join(lines)

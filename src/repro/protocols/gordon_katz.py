@@ -69,18 +69,6 @@ class GordonKatzMachine(PartyMachine):
         """
         ctx.output(self.last_value)
 
-    def fallback_output(self, ctx: PartyContext) -> None:
-        """Graceful degradation on a stalled (faulty-network) execution.
-
-        Exactly the protocol's own abort handling: before ShareGen
-        delivered, substitute the default input; mid-reveal, output the
-        last reconstructed value (possibly the fake), as on any abort.
-        """
-        if self.payload is None:
-            self._default_output(ctx)
-        else:
-            self._output_last(ctx)
-
     def on_round(self, round_no: int, inbox: Inbox, ctx: PartyContext) -> None:
         r = round_no - self.start_round
         if r < 0:
@@ -188,11 +176,6 @@ def classify_gk(result, func: FunctionSpec, sharegen: GkShareGen):
     corrupted = next(iter(result.corrupted))
     max_seen = -1
     for message in result.transcript:
-        # Transcript entries annotated by the fault layer as dropped are
-        # delivery attempts that never arrived — the corrupted party did
-        # not see them, so they must not count as revealed tokens.
-        if not message.delivered:
-            continue
         if message.receiver == corrupted and isinstance(
             message.payload, SealedValue
         ):

@@ -62,19 +62,6 @@ class Opt2SfeMachine(PartyMachine):
         ctx.output(outputs[self.index])
         return True
 
-    def fallback_output(self, ctx: PartyContext) -> None:
-        """Graceful degradation on a stalled (faulty-network) execution.
-
-        Mirrors the protocol's own abort branches: without a share (or as
-        p_î, whose opening never arrived) substitute the default input;
-        as p_¬î output ⊥, since p_î may already hold the real output and
-        substituting inputs would be unsound.
-        """
-        if self.share is None or self.first_receiver == self.index:
-            self._default_output(ctx)
-        else:
-            ctx.output_abort()
-
     def on_round(self, round_no: int, inbox: Inbox, ctx: PartyContext) -> None:
         other = 1 - self.index
         if round_no == 0:

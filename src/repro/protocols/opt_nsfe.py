@@ -20,7 +20,7 @@ from typing import Dict, List
 
 from ..crypto import signature
 from ..crypto.prf import Rng
-from ..engine.messages import ABORT, Inbox
+from ..engine.messages import Inbox
 from ..engine.party import PartyContext, PartyMachine
 from ..engine.protocol import Protocol
 from ..functionalities.base import Functionality
@@ -37,19 +37,6 @@ class OptNSfeMachine(PartyMachine):
         super().__init__(index, n)
         self.func = func
         self.priv = None
-
-    def fallback_output(self, ctx: PartyContext) -> None:
-        """Graceful degradation on a stalled (faulty-network) execution.
-
-        If this party is i* — it holds the validly signed y from the
-        hybrid — it adopts it; otherwise the protocol's abort branch
-        applies: output ⊥.
-        """
-        if self.priv is not None and self.priv.value is not ABORT:
-            y, _sigma = self.priv.value
-            ctx.output(y)
-        else:
-            ctx.output_abort()
 
     def on_round(self, round_no: int, inbox: Inbox, ctx: PartyContext) -> None:
         if round_no == 0:

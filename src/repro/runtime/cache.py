@@ -14,7 +14,7 @@ different soundness arguments:
 
 * **Persistent chunk stores** — on-disk stores of chunk partials keyed
   by a canonical fingerprint of (protocol, strategy, input sampler,
-  fault config, master seed, chunk span, schema version), built on the
+  master seed, chunk span, schema version), built on the
   same injective :func:`~repro.crypto.prf.encode_seed` encoder that
   derives run seeds.  Sound because every ``(task, seed, span)`` triple
   is bit-identically replayable: a stored partial *is* the value the
@@ -61,8 +61,9 @@ from .config import knob
 #: entry format changes.  The version is part of every key, so old
 #: entries then miss instead of poisoning new runs.  Version 2 added the
 #: integrity header, version 3 the JSON partial codec, version 4 the key
-#: inside the checksummed payload and one format for cache and journal.
-CACHE_SCHEMA_VERSION = 4
+#: inside the checksummed payload and one format for cache and journal,
+#: version 5 dropped the engine-fault element of the task material.
+CACHE_SCHEMA_VERSION = 5
 
 #: Entry layout: a 4-byte magic, the SHA-256 of the payload, then the
 #: payload: ``{"key": ..., "partial": ...}`` as compact JSON, the partial
@@ -247,13 +248,6 @@ def instrumentation_delta(before: dict) -> dict:
     """Instrumentation increments since a ``before`` snapshot."""
     after = instrumentation_snapshot()
     return {k: after[k] - before[k] for k in INSTRUMENT_KEYS}
-
-
-def faults_fingerprint(faults) -> str:
-    """Canonical string form of an ``EngineFaults`` bundle (or ``None``)."""
-    if faults is None:
-        return ""
-    return json.dumps(faults.to_dict(), sort_keys=True)
 
 
 class ChunkCache:

@@ -41,7 +41,7 @@ class ChunkStats:
     that worker's pipe and retry backoff).
 
     ``setup_s``/``execute_s``/``classify_s`` split the chunk's in-task
-    time into the per-run phases (input sampling + adversary/fault
+    time into the per-run phases (input sampling + adversary
     construction, protocol execution, event classification), measured in
     whichever process actually ran the chunk.  ``cache`` records the
     chunk's journey through the persistent chunk cache: ``"hit"`` —

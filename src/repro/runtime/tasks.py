@@ -28,8 +28,7 @@ from ..core.events import FairnessEvent, classify
 from ..core.utility import EventCounts
 from ..crypto.prf import Rng
 from ..engine.execution import ProtocolViolation, run_execution
-from ..engine.faults import EngineFaults
-from .cache import PHASES, faults_fingerprint
+from .cache import PHASES
 
 
 def default_chunk_size(n_runs: int) -> int:
@@ -84,14 +83,15 @@ class ExecutionTask:
     n_runs: int
     seed: object = 0
     input_sampler: Optional[Callable[[Rng], tuple]] = None
-    faults: Optional[EngineFaults] = None
 
     @property
     def label(self) -> str:
         return getattr(self.factory, "name", "adversary")
 
     def cache_material(self):
-        """Canonical content description for chunk-cache fingerprints.
+        """Canonical content description for chunk-cache fingerprints:
+        the protocol's ``cache_key``, the strategy name, the input
+        sampler's token and the master seed.
 
         Returns ``None`` — meaning "never cache me" — when any component
         lacks a stable identity: a protocol without a ``cache_key``, an
@@ -117,14 +117,12 @@ class ExecutionTask:
             protocol_key,
             factory_name,
             sampler_token,
-            faults_fingerprint(self.faults),
             self.seed,
         )
 
     def run_chunk(self, start: int, stop: int) -> EventCounts:
         sampler = self.input_sampler or self.protocol.func.sample_inputs
         master = Rng(self.seed)
-        faults_active = self.faults is not None and self.faults.active
         counts = EventCounts()
         clock = time.perf_counter
         for k in range(start, stop):
@@ -132,15 +130,6 @@ class ExecutionTask:
             rng = master.fork(f"run-{k}")
             inputs = sampler(rng.fork("inputs"))
             adversary = self.factory(rng.fork("adversary"))
-            run_faults = None
-            if faults_active:
-                # Re-salt the fault seeds with material from the run's own
-                # stream: each run sees an independent fault pattern, yet
-                # run k replays bit-identically in any chunk partition.
-                # The fork only happens when faults are active, so the
-                # zero-fault RNG sequence is untouched.
-                salt = rng.fork("faults").randbytes(16)
-                run_faults = self.faults.seeded(salt)
             t1 = clock()
             PHASES.setup_s += t1 - t0
             try:
@@ -149,14 +138,13 @@ class ExecutionTask:
                     inputs,
                     adversary,
                     rng.fork("exec"),
-                    faults=run_faults,
                 )
             except ProtocolViolation as exc:
                 t2 = clock()
                 PHASES.execute_s += t2 - t1
-                # Belt and braces: the engine only raises this with no
-                # faults active, but a batch must degrade to a classified
-                # event, not die.  The attached result carries the hung set.
+                # An honest party never output: a protocol bug, but the
+                # batch degrades to a classified event instead of dying.
+                # The attached result carries the hung set.
                 if exc.result is None:
                     raise
                 counts.record(FairnessEvent.HONEST_HUNG, exc.result.corrupted)
@@ -164,12 +152,6 @@ class ExecutionTask:
                 continue
             t2 = clock()
             PHASES.execute_s += t2 - t1
-            if result.hung:
-                # Even a protocol-specific classifier cannot say anything
-                # about a run whose honest parties never produced output.
-                counts.record(FairnessEvent.HONEST_HUNG, result.corrupted)
-                PHASES.classify_s += clock() - t2
-                continue
             event = self.protocol.classify_result(result)
             if event is None:
                 event = classify(result, self.protocol.func)

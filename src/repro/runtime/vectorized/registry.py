@@ -7,8 +7,7 @@ Kernels register a *matcher*; :func:`kernel_for` runs the matchers once
 per task (memoized on the task object) behind hard eligibility gates:
 
 * the task is an :class:`~repro.runtime.tasks.ExecutionTask` (anything
-  else — e.g. a transcript-digest task — needs the real engine), and no
-  active fault spec;
+  else — e.g. a transcript-digest task — needs the real engine);
 * the adversary factory ignores its per-run RNG — probed by building one
   instance with a :class:`SentinelRng` that raises on any use, which is
   what keeps rng-consuming strategies (random corruption draws) on the
@@ -109,8 +108,6 @@ def _build_kernel(task) -> Optional[Callable]:
     from ..tasks import ExecutionTask
 
     if not isinstance(task, ExecutionTask):
-        return None
-    if task.faults is not None and getattr(task.faults, "active", True):
         return None
     try:
         adversary = task.factory(SentinelRng())

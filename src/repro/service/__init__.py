@@ -1,13 +1,12 @@
 """Fairness-as-a-service: the JSON-RPC job server over the batch runtime.
 
 The whole experiment surface — utility estimation, strategy sweeps,
-fault-sensitivity curves, claim verification — exposed as an async job
-API (``repro serve``).  Requests canonicalize to content-addressed job
-keys, so identical submissions (concurrent, repeated, or racing the
-CLI) collapse to one execution and return byte-identical
-``deterministic_payload``s; a per-tenant token bucket and a bounded
-pending-job pool shed overload as documented JSON-RPC errors instead of
-falling over.
+claim verification — exposed as an async job API (``repro serve``).
+Requests canonicalize to content-addressed job keys, so identical
+submissions (concurrent, repeated, or racing the CLI) collapse to one
+execution and return byte-identical ``deterministic_payload``s; a
+per-tenant token bucket and a bounded pending-job pool shed overload as
+documented JSON-RPC errors instead of falling over.
 
 Module map: ``wire`` (JSON-RPC envelope + error codes), ``canonical``
 (param schemas, canonical forms, job keys), ``ratelimit`` (token

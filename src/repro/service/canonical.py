@@ -39,19 +39,15 @@ from ..runtime.tasks import ExecutionTask
 
 #: Versions the job-key scheme: bump when canonical forms or key
 #: material change, so stale clients cannot collide with new keys.
-SERVICE_VERSION = 1
+SERVICE_VERSION = 2
 
 #: The CLI's default γ (see ``cli.build_parser``): γ00,γ01,γ10,γ11.
 DEFAULT_GAMMA = (0.0, 0.0, 1.0, 0.5)
-
-#: Mirrors ``analysis.fault_sensitivity.DEFAULT_LOSS_RATES``.
-DEFAULT_LOSS_RATES = (0.0, 0.05, 0.1, 0.2)
 
 #: The experiment (job-submitting) methods, in documentation order.
 EXPERIMENT_METHODS = (
     "estimate_utility",
     "sweep_strategies",
-    "fault_sensitivity",
     "verify_claims",
 )
 
@@ -81,13 +77,6 @@ def _norm_positive_int(name: str, value) -> int:
     return value
 
 
-def _norm_nonneg_int(name: str, value) -> int:
-    _reject_bool(name, value)
-    if not isinstance(value, int) or value < 0:
-        raise ServiceParamError(f"{name!r} must be a non-negative integer")
-    return value
-
-
 def _norm_parties(name: str, value) -> int:
     _reject_bool(name, value)
     if not isinstance(value, int) or value < 2:
@@ -113,18 +102,6 @@ def _norm_gamma(name: str, value) -> Tuple[float, ...]:
             "with γ01 < γ10)"
         )
     return tuple(parts)
-
-
-def _norm_rates(name: str, value) -> Tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ServiceParamError(f"{name!r} must be a non-empty array of rates")
-    rates = []
-    for x in value:
-        _reject_bool(name, x)
-        if not isinstance(x, (int, float)) or not 0.0 <= x <= 1.0:
-            raise ServiceParamError(f"{name!r} rates must lie in [0, 1]")
-        rates.append(float(x))
-    return tuple(rates)
 
 
 def _norm_seed(name: str, value):
@@ -177,17 +154,6 @@ METHOD_SCHEMAS: Dict[str, _Schema] = {
         ("gamma", DEFAULT_GAMMA, _norm_gamma),
         ("runs", 400, _norm_positive_int),
         ("seed", 0, _norm_seed),
-        ("parties", 2, _norm_parties),
-    ),
-    "fault_sensitivity": (
-        ("protocol", _REQUIRED, _norm_name),
-        ("gamma", DEFAULT_GAMMA, _norm_gamma),
-        ("loss_rates", DEFAULT_LOSS_RATES, _norm_rates),
-        ("crash_rates", (0.0,), _norm_rates),
-        ("runs", 400, _norm_positive_int),
-        ("seed", 0, _norm_seed),
-        ("fault_seed", 0, _norm_seed),
-        ("max_delay", 2, _norm_nonneg_int),
         ("parties", 2, _norm_parties),
     ),
     "verify_claims": (

@@ -18,7 +18,6 @@ from __future__ import annotations
 from ..analysis.export import (
     assessment_to_dict,
     estimate_to_dict,
-    fault_curve_to_dict,
     report_to_dict,
 )
 from ..core.payoff import PayoffVector
@@ -78,27 +77,6 @@ def _sweep_strategies(runner, canon: dict) -> dict:
     return assessment_to_dict(assessment)
 
 
-def _fault_sensitivity(runner, canon: dict) -> dict:
-    from ..adversaries import strategy_space_for_protocol
-    from ..analysis import fault_sensitivity
-
-    protocol = _protocol(canon)
-    space = strategy_space_for_protocol(protocol)
-    curve = fault_sensitivity(
-        protocol,
-        space,
-        _gamma(canon),
-        loss_rates=canon["loss_rates"],
-        crash_rates=canon["crash_rates"],
-        n_runs=canon["runs"],
-        seed=canon["seed"],
-        fault_seed=canon["fault_seed"],
-        max_delay=canon["max_delay"],
-        runner=runner,
-    )
-    return fault_curve_to_dict(curve)
-
-
 def _verify_claims(runner, canon: dict) -> dict:
     from ..verify import ClaimConfigError, verify_claims
 
@@ -117,7 +95,6 @@ def _verify_claims(runner, canon: dict) -> dict:
 _HANDLERS = {
     "estimate_utility": _estimate_utility,
     "sweep_strategies": _sweep_strategies,
-    "fault_sensitivity": _fault_sensitivity,
     "verify_claims": _verify_claims,
 }
 
@@ -131,7 +108,7 @@ def validate(method: str, canon: dict) -> None:
     """Submission-time existence checks (cheap; no Monte-Carlo work)."""
     if method == "estimate_utility":
         build_task(canon)  # resolves protocol + strategy or raises
-    elif method in ("sweep_strategies", "fault_sensitivity"):
+    elif method == "sweep_strategies":
         _protocol(canon)
     elif method == "verify_claims":
         from ..verify import ClaimConfigError

@@ -3,7 +3,7 @@
 The soundness bar for every cache in the runtime is bit-identity: a memo
 hit, a disk-cache hit, or a backend switch may never change a single
 event count.  These tests pin that, plus the key-sensitivity properties
-(different seed / fault config / protocol ⇒ different keys), the
+(different seed / span / protocol ⇒ different keys), the
 pickle-free entry format, entries that name their own key, and the
 strict opt-in-ness of the persistent cache.
 """
@@ -12,7 +12,6 @@ import os
 
 from repro.adversaries import strategy_space_for_protocol
 from repro.circuits.compiler import compile_truth_table, memo_counters
-from repro.engine.faults import ChannelFaultModel, EngineFaults, PartyFaultModel
 from repro.functions import make_and, make_swap
 from repro.gmw import gmw_from_spec
 from repro.protocols import Opt2SfeProtocol
@@ -33,24 +32,11 @@ from repro.runtime.cache import (
 )
 
 
-def _engine_faults(loss=0.1, crash=0.0, seed="f"):
-    return EngineFaults(
-        channel=ChannelFaultModel(loss=loss, seed=(seed, "chan")),
-        party=(
-            PartyFaultModel(crash_rate=crash, seed=(seed, "party"))
-            if crash
-            else None
-        ),
-    )
-
-
-def _tasks(n_runs=120, seed="cache-test", faults=None):
+def _tasks(n_runs=120, seed="cache-test"):
     protocol = Opt2SfeProtocol(make_swap(16))
     space = strategy_space_for_protocol(protocol)[:3]
     return [
-        ExecutionTask(
-            protocol, f, n_runs, seed=(seed, f.name), faults=faults
-        )
+        ExecutionTask(protocol, f, n_runs, seed=(seed, f.name))
         for f in space
     ]
 
@@ -110,15 +96,6 @@ class TestChunkCacheKeys:
         assert chunk_key(task, 0, 20) != base
         assert chunk_key(task, 10, 20) != base
         assert chunk_key(other_seed, 0, 10) != base
-
-    def test_key_changes_with_fault_config(self):
-        (plain,) = _tasks()[:1]
-        (faulty,) = _tasks(faults=_engine_faults(loss=0.1))[:1]
-        (faultier,) = _tasks(faults=_engine_faults(loss=0.2))[:1]
-        keys = {
-            chunk_key(t, 0, 10) for t in (plain, faulty, faultier)
-        }
-        assert len(keys) == 3
 
     def test_key_changes_with_protocol_and_strategy(self):
         t2sfe = _tasks()[0]
@@ -181,16 +158,6 @@ class TestChunkCacheCorrectness:
         stats = pool.last_stats
         if stats.backend == "process-pool":  # fork available
             assert stats.cache_hits == stats.n_chunks
-
-    def test_cached_under_engine_faults(self, tmp_path):
-        faults = _engine_faults(loss=0.15, crash=0.05, seed="cache-faults")
-        tasks = _tasks(faults=faults)
-        base = SerialRunner().run(tasks)
-        cold = SerialRunner(cache=ChunkCache(tmp_path))
-        warm = SerialRunner(cache=ChunkCache(tmp_path))
-        assert cold.run(tasks) == base
-        assert warm.run(tasks) == base
-        assert warm.last_stats.cache_hits > 0
 
     def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path):
         tasks = _tasks()

@@ -21,7 +21,6 @@ whatever was injected:
 Dimensions
 ----------
 ``chunk-faults``        deterministic injected chunk failures (``raise``)
-``engine-faults``       unreliable channels and party crashes inside runs
 ``worker-kill``         injected faults kill the pool worker (``exit``)
 ``interrupt-resume``    KeyboardInterrupt mid-batch, then a rerun
 ``cache-corruption``    a warm chunk-cache entry gets a byte flipped
@@ -61,7 +60,6 @@ from repro.analysis.export import deterministic_payload
 from repro.core import FairnessEvent
 from repro.core.utility import EventCounts
 from repro.crypto import Rng
-from repro.engine.faults import ChannelFaultModel, EngineFaults, PartyFaultModel
 from repro.functions import make_swap
 from repro.protocols import Opt2SfeProtocol
 from repro.runtime import (
@@ -83,7 +81,6 @@ VENUES = ("serial", "pool")
 
 DIMENSIONS = (
     "chunk-faults",
-    "engine-faults",
     "worker-kill",
     "interrupt-resume",
     "cache-corruption",
@@ -129,7 +126,7 @@ def fault_spec(dims, rate, seed):
     )
 
 
-def _tasks(engine_faults):
+def _tasks():
     """A fresh task list (tasks hold per-run state such as setup memos).
 
     Two lock-watching strategies under a seed at which every span of a
@@ -137,19 +134,8 @@ def _tasks(engine_faults):
     for another changes the payload (``test_spans_are_distinguishable``).
     """
     protocol = Opt2SfeProtocol(make_swap(8))
-    faults = None
-    if engine_faults:
-        faults = EngineFaults(
-            channel=ChannelFaultModel(
-                loss=0.08, delay=0.05, duplicate=0.04, broadcast_loss=0.04,
-                seed="chaos-engine",
-            ),
-            party=PartyFaultModel(crash_rate=0.04, seed="chaos-engine"),
-        )
     return [
-        ExecutionTask(
-            protocol, factory, RUNS, seed=("chaos-workload", 0), faults=faults
-        )
+        ExecutionTask(protocol, factory, RUNS, seed=("chaos-workload", 0))
         for factory in strategy_space_for_protocol(protocol)
         if factory.name.startswith("lock-watch")
     ]
@@ -166,10 +152,9 @@ def _runner(venue, fault, journal=None, cache=None):
 
 
 @functools.lru_cache(maxsize=None)
-def _baseline(engine_faults):
-    """Fingerprint of the fault-free serial run.  Engine faults are part
-    of the task's content, so they get a baseline of their own."""
-    return payload_fingerprint(_runner("serial", None).run(_tasks(engine_faults)))
+def _baseline():
+    """Fingerprint of the fault-free serial run."""
+    return payload_fingerprint(_runner("serial", None).run(_tasks()))
 
 
 class _InterruptingTask:
@@ -217,7 +202,6 @@ def _corrupt_one(root, victim):
 def run_trial(venue, dims, seed, rate, workdir):
     """Run one trial and assert every invariant its dimensions imply."""
     rng = Rng(("chaos-trial", seed))
-    engine = "engine-faults" in dims
     fault = fault_spec(dims, rate, seed)
     journal_dir, cache_dir = workdir / "journal", workdir / "cache"
     threads_before = threading.active_count()
@@ -225,16 +209,14 @@ def run_trial(venue, dims, seed, rate, workdir):
     # Populate and damage the stores under test.
     victim = rng.randrange(1 << 16)
     if "cache-corruption" in dims:
-        _runner("serial", None, cache=ChunkCache(cache_dir)).run(_tasks(engine))
+        _runner("serial", None, cache=ChunkCache(cache_dir)).run(_tasks())
         corrupt_entry = _corrupt_one(cache_dir, victim)
     if "journal-corruption" in dims:
-        _runner("serial", None, journal=RunJournal(journal_dir)).run(
-            _tasks(engine)
-        )
+        _runner("serial", None, journal=RunJournal(journal_dir)).run(_tasks())
         _corrupt_one(journal_dir, victim)
     if "interrupt-resume" in dims:
         spans = plan_chunks(RUNS, CHUNK)
-        tasks = _tasks(engine)
+        tasks = _tasks()
         boom_start = spans[1 + rng.randrange(len(spans) - 1)][0]
         tasks[0] = _InterruptingTask(tasks[0], boom_start)
         interrupted = _runner(venue, fault, journal=RunJournal(journal_dir))
@@ -244,11 +226,11 @@ def run_trial(venue, dims, seed, rate, workdir):
 
     cache = ChunkCache(cache_dir) if "cache-corruption" in dims else None
     runner = _runner(venue, fault, RunJournal(journal_dir), cache)
-    tasks = _tasks(engine)
+    tasks = _tasks()
     values = runner.run(tasks)
     stats = runner.last_stats
 
-    assert payload_fingerprint(values) == _baseline(engine)
+    assert payload_fingerprint(values) == _baseline()
     assert stats.executions == stats.requested
     if fault is not None:
         schedule = [
@@ -310,9 +292,8 @@ def test_each_dimension_alone(dim, venue, tmp_path):
     run_trial(venue, (dim,), seed=1, rate=0.4, workdir=tmp_path)
 
 
-@pytest.mark.parametrize("engine_faults", [False, True])
-def test_spans_are_distinguishable(engine_faults):
-    for task in _tasks(engine_faults):
+def test_spans_are_distinguishable():
+    for task in _tasks():
         partials = [
             payload_fingerprint([task.run_chunk(start, stop)])
             for start, stop in plan_chunks(RUNS, CHUNK)

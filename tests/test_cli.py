@@ -233,62 +233,13 @@ def test_chaos_is_not_a_command(capsys):
     assert "invalid choice: 'chaos'" in capsys.readouterr().err
 
 
-class TestFaultSensitivityCommand:
-    def test_erosion_table_and_artifact(self, capsys, tmp_path):
-        out_path = tmp_path / "curve.json"
-        out = run_cli(
-            capsys,
-            "--runs", "20", "--seed", "clitest",
-            "fault-sensitivity", "dummy",
-            "--loss", "0,0.5", "--fault-seed", "t",
-            "--out", str(out_path),
-        )
-        assert "sup utility" in out
-        assert "erosion" in out
-        assert "artifact written" in out
-        payload = json.loads(out_path.read_text())
-        assert [p["loss"] for p in payload["points"]] == [0.0, 0.5]
-        assert payload["points"][1]["faults"]["channel"]["loss"] == 0.5
-        assert payload["points"][0]["erosion"] == 0.0
-
-    def test_crash_axis_parses(self, capsys):
-        out = run_cli(
-            capsys,
-            "--runs", "20", "fault-sensitivity", "dummy",
-            "--loss", "0", "--crash", "0,0.5",
-        )
-        assert out.count("\n") >= 4  # two grid rows + header
-
-    def test_rate_validation(self):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["fault-sensitivity", "dummy", "--loss", "1.5"])
-        with pytest.raises(SystemExit):
-            parser.parse_args(["fault-sensitivity", "dummy", "--loss", "abc"])
-
-    def test_artifact_round_trips_through_json(self, capsys, tmp_path):
-        """The saved curve artifact re-loads with its full fault config."""
-        out_path = tmp_path / "curve.json"
-        run_cli(
-            capsys,
-            "--runs", "20", "--seed", "roundtrip",
-            "fault-sensitivity", "dummy",
-            "--loss", "0,0.25", "--crash", "0.1", "--fault-seed", "rt",
-            "--out", str(out_path),
-        )
-        payload = json.loads(out_path.read_text())
-        assert payload["seed"] == repr("roundtrip")
-        assert payload["fault_seed"] == repr("rt")
-        assert payload["n_runs"] == 20
-        assert len(payload["points"]) == 2
-        for point in payload["points"]:
-            assert set(point) >= {
-                "loss", "crash_rate", "utility", "hung_fraction",
-                "best", "estimates", "faults", "erosion",
-            }
-            assert point["crash_rate"] == 0.1
-            assert point["best"]["n_runs"] == 20
-            assert point["estimates"]
+def test_fault_sensitivity_is_not_a_command(capsys):
+    # The engine runs the paper's lossless network only, so there is no
+    # fault sweep to run: `repro fault-sensitivity` is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["fault-sensitivity", "dummy"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'fault-sensitivity'" in capsys.readouterr().err
 
 
 class TestStatsDumpSchema:

@@ -141,7 +141,9 @@ class TestResolveStrategy:
 class TestPinnedIdentity:
     """Digests pinned from the tree before the codec moved into
     ``runtime.codec``: service job keys and cache entries keyed by them
-    must survive refactors byte for byte."""
+    must survive refactors byte for byte.  Re-pinned once, when the
+    engine-fault element left ``ExecutionTask.cache_material`` (with
+    ``CACHE_SCHEMA_VERSION`` 5 and ``SERVICE_VERSION`` 2)."""
 
     def test_task_fingerprint_is_pinned(self):
         task = ExecutionTask(
@@ -149,17 +151,17 @@ class TestPinnedIdentity:
             n_runs=16, seed=(3, "x"),
         )
         assert task_fingerprint(task) == (
-            "de33fe0376724186e531397bf3f7944f1e1c42acc3ca0fbf89bd926c2bc6d5f1"
+            "17157254cfd6e55e09c6c9c1a655373d79c1b64ef21915a6420c292bcff9faea"
         )
 
     def test_service_job_keys_are_pinned(self):
         assert job_key("estimate_utility", {
             "protocol": "opt-2sfe", "strategy": "lock-watch[0]",
             "runs": 64, "seed": 5,
-        }) == "a1c1bab8d6add89045e5d3f6b99c93d0840fb7cb0084a036372e2d032955bc40"
+        }) == "f2cdf6012867fdfbc02e22a2fc7f04fbbefe419a234870b281916ea3885f47a3"
         assert job_key("sweep_strategies", {
             "protocol": "dummy", "runs": 64, "seed": [1, "a"],
-        }) == "f088f2d53bfb5f875beef3e584cbc0d3854acfd3044f2e08d9197f0081b8f356"
+        }) == "51c455a5b1ff0c8ff9825af00a35db1926ab7e836011ca3401c31e349694cdf4"
 
     def test_opaque_task_has_no_fingerprint(self):
         class Opaque:

@@ -86,6 +86,15 @@ class TestEventCounts:
         assert est.mean == pytest.approx(0.5 - 0.2)
         assert est.cost_mean == pytest.approx(0.2)
 
+    def test_hung_event_pays_gamma00(self):
+        gamma = PayoffVector(0.3, 0.0, 1.0, 0.5)
+        assert gamma.value(FairnessEvent.HONEST_HUNG) == gamma.gamma00
+        counts = EventCounts()
+        for _ in range(4):
+            counts.record(FairnessEvent.HONEST_HUNG, frozenset({0}))
+        estimate = estimate_from_counts(counts, gamma)
+        assert estimate.mean == pytest.approx(0.3)
+
 
 class TestWilson:
     def test_contains_proportion(self):

@@ -1,6 +1,6 @@
 """Batch runtime tests: mergeable counts, chunk planning, backend
 determinism (serial vs. process pool), adaptive early stopping, stats,
-and jobs resolution."""
+jobs resolution, hung honest parties and SIGINT handling."""
 
 import threading
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversaries import strategy_space_for_protocol
+from repro.adversaries import PassiveAdversary, strategy_space_for_protocol
 from repro.analysis import (
     assess_protocol,
     balance_profile,
@@ -22,6 +22,10 @@ from repro.analysis import (
 )
 from repro.core import FairnessEvent, PayoffVector
 from repro.core.utility import EventCounts
+from repro.crypto import Rng
+from repro.engine import ProtocolViolation, run_execution
+from repro.engine.party import PartyMachine
+from repro.engine.protocol import Protocol
 from repro.functions import make_and, make_concat, make_swap
 from repro.protocols import (
     DummyProtocol,
@@ -511,3 +515,132 @@ class TestForkedWorkers:
         assert forks == []
         assert replayed == first
         assert stats.journal_replayed_chunks == stats.n_chunks == 12
+
+
+# -- hung honest parties -----------------------------------------------------
+
+
+class _SilentMachine(PartyMachine):
+    """p0 outputs its input at round 0; p1 never outputs at all."""
+
+    def on_round(self, round_no, inbox, ctx):
+        if self.index == 0 and round_no == 0:
+            ctx.output(self.input)
+
+
+class _SilentProtocol(Protocol):
+    def __init__(self):
+        self.func = make_swap(4)
+        self.n_parties = 2
+        self.name = "test-silent"
+        self.max_rounds = 4
+
+    def build_machines(self, rng):
+        return [_SilentMachine(i, 2) for i in range(2)]
+
+
+def _passive(rng):
+    return PassiveAdversary()
+
+
+class TestHungHonestParty:
+    def test_engine_raises_with_the_hung_party_attached(self):
+        with pytest.raises(ProtocolViolation) as excinfo:
+            run_execution(
+                _SilentProtocol(), (1, 2), PassiveAdversary(), Rng("hung")
+            )
+        result = excinfo.value.result
+        assert result.hung == {1}
+        assert set(result.outputs) == {0}
+        assert not result.all_honest_received()
+
+    def test_run_chunk_records_every_run_as_hung(self):
+        task = ExecutionTask(_SilentProtocol(), _passive, 12, seed="hung")
+        counts = task.run_chunk(0, 12)
+        assert counts.total == 12
+        assert counts.counts[FairnessEvent.HONEST_HUNG] == 12
+
+    def test_venues_count_hung_runs_identically(self):
+        def task():
+            return ExecutionTask(_SilentProtocol(), _passive, 40, seed="hung")
+
+        serial = SerialRunner(chunk_size=10).run([task()])
+        pooled = pool(2, chunk_size=10).run([task()])
+        assert serial == pooled
+        assert pooled[0].counts[FairnessEvent.HONEST_HUNG] == 40
+
+
+# -- SIGINT handling ---------------------------------------------------------
+
+
+class _InterruptingTask:
+    """A mergeable task whose chunk containing ``boom_at`` raises Ctrl-C."""
+
+    label = "interrupting"
+
+    def __init__(self, n_runs, boom_at):
+        self.n_runs = n_runs
+        self.boom_at = boom_at
+
+    def run_chunk(self, start, stop):
+        if start <= self.boom_at < stop:
+            raise KeyboardInterrupt()
+        counts = EventCounts()
+        for _ in range(start, stop):
+            counts.record(FairnessEvent.E11, frozenset({0}))
+        return counts
+
+
+class TestKeyboardInterrupt:
+    def test_serial_runner_reraises_with_stats_attached(self):
+        runner = SerialRunner(chunk_size=10)
+        with pytest.raises(KeyboardInterrupt) as excinfo:
+            runner.run([_InterruptingTask(50, boom_at=25)])
+        assert runner.last_stats is not None
+        assert excinfo.value.run_stats is runner.last_stats
+        assert runner.last_stats.backend == "serial"
+
+    def test_pool_runner_cancels_and_reraises_with_stats(self):
+        runner = ProcessPoolRunner(2, chunk_size=10, min_parallel_runs=0)
+        tasks = [
+            _InterruptingTask(30, boom_at=5),
+            _InterruptingTask(30, boom_at=10**9),
+        ]
+        with pytest.raises(KeyboardInterrupt) as excinfo:
+            runner.run(tasks)
+        stats = excinfo.value.run_stats
+        assert stats is runner.last_stats
+        assert stats.backend == "process-pool"
+        # Every chunk the interrupt dropped on the floor is accounted for.
+        assert stats.cancelled_chunks >= 1
+
+    def test_uninterrupted_pool_runs_have_no_cancellations(self):
+        runner = ProcessPoolRunner(2, chunk_size=10, min_parallel_runs=0)
+        task = _InterruptingTask(30, boom_at=10**9)
+        values = runner.run([task])
+        assert values[0].total == 30
+        assert runner.last_stats.cancelled_chunks == 0
+
+    def test_venues_report_identical_cancelled_counts(self):
+        """Regression: the serial venue used to drop planned-but-unrun
+        spans from the log entirely on Ctrl-C, so its partial RunStats
+        silently overstated coverage relative to the pool venue.  Both
+        must now account the same interrupt point identically."""
+
+        def tasks():
+            return [
+                _InterruptingTask(50, boom_at=25),
+                _InterruptingTask(30, boom_at=10**9),
+            ]
+
+        serial = SerialRunner(chunk_size=10)
+        with pytest.raises(KeyboardInterrupt):
+            serial.run(tasks())
+        pooled = ProcessPoolRunner(2, chunk_size=10, min_parallel_runs=0)
+        with pytest.raises(KeyboardInterrupt):
+            pooled.run(tasks())
+        assert serial.last_stats.cancelled_chunks > 0
+        assert (
+            serial.last_stats.cancelled_chunks
+            == pooled.last_stats.cancelled_chunks
+        )

@@ -521,6 +521,18 @@ class TestMalformedRequests:
                 reply = _rpc(srv.port, name, request_id=7)
                 self._check_error_shape(reply, -32601, request_id=7)
 
+    def test_fault_sensitivity_is_not_a_method(self):
+        # The engine runs the paper's lossless network only: no fault
+        # sweep is served, and service.info does not advertise one.
+        with _server() as srv:
+            reply = _rpc(
+                srv.port, "fault_sensitivity", {"protocol": "opt-2sfe"},
+                request_id=9,
+            )
+            self._check_error_shape(reply, -32601, request_id=9)
+            info = _rpc(srv.port, "service.info")["result"]
+            assert "fault_sensitivity" not in info["methods"]
+
     def test_invalid_params(self):
         cases = [
             ("estimate_utility", {}),                      # missing required
@@ -533,8 +545,6 @@ class TestMalformedRequests:
             ("estimate_utility", dict(REQUEST, protocol="nope")),
             ("estimate_utility", dict(REQUEST, strategy="nope")),
             ("sweep_strategies", {"protocol": "opt-2sfe", "runs": -4}),
-            ("fault_sensitivity", {"protocol": "opt-2sfe",
-                                   "loss_rates": [1.5]}),
             ("verify_claims", {"claims": "E999"}),
             ("verify_claims", {"budget": "enormous"}),
             ("job.status", {}),

@@ -123,10 +123,11 @@ class TestKeyInjectivity:
 
     def test_methods_never_collide(self):
         """The same params under different methods key differently."""
-        sweep = {"protocol": "opt-2sfe", "runs": 64, "seed": 5}
-        fault = dict(sweep)
-        assert job_key("sweep_strategies", sweep) != job_key(
-            "fault_sensitivity", fault
+        canon = canonicalize(
+            "sweep_strategies", {"protocol": "opt-2sfe", "runs": 64, "seed": 5}
+        )
+        assert job_key_canonical("sweep_strategies", canon) != (
+            job_key_canonical("verify_claims", canon)
         )
 
     @given(st.integers(0, 100), st.integers(0, 100))

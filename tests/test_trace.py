@@ -2,13 +2,7 @@
 
 from repro.adversaries import LockWatchingAborter, PassiveAdversary
 from repro.crypto import Rng
-from repro.engine import (
-    ABORT,
-    ChannelFaultModel,
-    EngineFaults,
-    Message,
-    run_execution,
-)
+from repro.engine import ABORT, Message, run_execution
 from repro.engine.trace import (
     describe_message,
     render_transcript,
@@ -54,20 +48,6 @@ class TestDescribeMessage:
         message = Message("F_sfe", 0, 9, 1)
         assert describe_message(message).startswith("F_sfe → p0")
 
-    def test_fault_annotations_rendered(self):
-        message = Message(0, 1, "x", 2, annotation="dropped")
-        assert describe_message(message) == "p0 → p1: 'x' [dropped]"
-        message = Message(0, 1, "x", 2, annotation="delayed+2")
-        assert describe_message(message).endswith("[delayed+2]")
-        message = Message(0, 1, "x", 2, annotation="duplicate")
-        assert describe_message(message).endswith("[duplicate]")
-
-    def test_per_receiver_broadcast_attempt(self):
-        # The fault layer logs broadcast delivery per receiver: the line
-        # shows both the broadcast nature and the concrete receiver.
-        message = Message(2, 1, 7, 0, broadcast=True)
-        assert describe_message(message) == "p2 → ∗p1: 7"
-
 
 class TestRenderTranscript:
     def _result(self, adversary):
@@ -98,28 +78,10 @@ class TestRenderTranscript:
 
     def test_fault_free_runs_omit_fault_footer(self):
         text = render_transcript(self._result(PassiveAdversary()))
-        assert "crashed:" not in text
         assert "hung:" not in text
-        assert "fault events:" not in text
 
-    def test_fault_footer_rendered(self):
+    def test_hung_footer_rendered(self):
         result = self._result(PassiveAdversary())
-        result.crashed = {1}
         result.hung = {0}
-        result.fault_events = {"dropped": 3, "crashes": 1}
         text = render_transcript(result)
-        assert "crashed: [1]" in text
         assert "hung: [0]" in text
-        assert "fault events: crashes=1, dropped=3" in text
-
-    def test_faulty_execution_renders_end_to_end(self):
-        protocol = Opt2SfeProtocol(make_swap(8))
-        faults = EngineFaults(
-            channel=ChannelFaultModel(loss=0.5, seed="trace")
-        )
-        result = run_execution(
-            protocol, (3, 9), PassiveAdversary(), Rng("ftrace"), faults=faults
-        )
-        text = render_transcript(result)
-        assert "[dropped]" in text
-        assert "fault events:" in text

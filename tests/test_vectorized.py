@@ -8,8 +8,8 @@ fall back.  These tests pin both halves:
 
 * **equivalence** — hundreds of random master seeds per eligible
   protocol, reference vs. vectorized, exact dict equality (no tolerance);
-* **dispatch** — ineligible tasks (active faults, rng-consuming or
-  unknown strategies, non-execution tasks) fall back to the reference
+* **dispatch** — ineligible tasks (rng-consuming or unknown
+  strategies, non-execution tasks) fall back to the reference
   engine under ``auto`` and raise :class:`BackendError` under the forced
   ``vectorized`` backend, with the choice visible in ``RunStats``;
   eligible chunks of every width run on their kernel, and a kernel
@@ -44,7 +44,6 @@ from repro.analysis import (
     run_stats_to_dict,
 )
 from repro.crypto import prf
-from repro.engine.faults import ChannelFaultModel, EngineFaults
 from repro.functions import make_and, make_concat, make_millionaires
 from repro.gmw import ThresholdGmwProtocol
 from repro.protocols import (
@@ -175,7 +174,7 @@ def test_exact_equivalence_over_random_seeds(config, label, n_runs):
     assert checked == N_SEEDS
 
 
-def _gk_task(n_runs=32, seed="vec-dispatch", faults=None):
+def _gk_task(n_runs=32, seed="vec-dispatch"):
     return ExecutionTask(
         GordonKatzProtocol(make_and(), p=2),
         fixed(
@@ -184,24 +183,11 @@ def _gk_task(n_runs=32, seed="vec-dispatch", faults=None):
         n_runs,
         seed=seed,
         input_sampler=constant_inputs((1, 1)),
-        faults=faults,
     )
 
 
 def test_eligible_task_is_vectorizable():
     assert vectorizable(_gk_task())
-
-
-def test_active_faults_fall_back_to_reference():
-    faults = EngineFaults(
-        channel=ChannelFaultModel(loss=0.2, seed=("vec", "chan"))
-    )
-    task = _gk_task(faults=faults)
-    assert not vectorizable(task)
-    runner = SerialRunner(cache=None, backend="auto")
-    runner.run_one(task)
-    assert runner.last_stats.execution_backend == "reference"
-    assert runner.last_stats.vectorized_runs == 0
 
 
 def test_unknown_strategy_falls_back_to_reference():
