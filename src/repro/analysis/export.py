@@ -132,30 +132,9 @@ def run_stats_to_dict(stats: RunStats) -> dict:
         "wall_clock_s": stats.wall_clock_s,
         "executions_per_sec": stats.executions_per_sec,
         "stopped_early": stats.stopped_early,
-        "failed_attempts": stats.failed_attempts,
-        "retries": stats.retries,
-        "timeouts": stats.timeouts,
-        "serial_replays": stats.serial_replays,
-        "cancelled_chunks": stats.cancelled_chunks,
-        "journal_replayed_chunks": stats.journal_replayed_chunks,
-        "journal_appended_chunks": stats.journal_appended_chunks,
-        "journal_corrupt_records": stats.journal_corrupt_records,
-        "cache_corrupt_entries": stats.cache_corrupt_entries,
-        "cache_write_errors": stats.cache_write_errors,
         "degraded": stats.degraded,
-        "setup_s": stats.setup_s,
-        "execute_s": stats.execute_s,
-        "classify_s": stats.classify_s,
-        "memo_hits": stats.memo_hits,
-        "memo_misses": stats.memo_misses,
-        "cache_hits": stats.cache_hits,
-        "cache_misses": stats.cache_misses,
-        "cache_stores": stats.cache_stores,
         "execution_backend": stats.execution_backend,
-        "vectorized_runs": stats.vectorized_runs,
-        "calibration_runs": stats.calibration_runs,
-        "service_dedup_hits": stats.service_dedup_hits,
-        "service_rate_limited": stats.service_rate_limited,
+        **stats.metrics,
         "chunks": [chunk_stats_to_dict(c) for c in stats.chunks],
     }
 

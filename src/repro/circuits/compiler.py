@@ -22,19 +22,22 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Dict, List, Sequence
 
+from .. import metrics
 from ..crypto.prf import encode_seed
 from .builder import CircuitBuilder
 from .circuit import Circuit
 
-#: Content-keyed compilation memo plus its hit/miss counters (read by the
-#: runtime's instrumentation via :func:`memo_counters`).
+#: Content-keyed compilation memo; its hits and misses are counted in
+#: :mod:`repro.metrics` as ``circuit_memo_hits``/``circuit_memo_misses``.
 _CIRCUIT_MEMO: Dict[bytes, Circuit] = {}
-_MEMO_COUNTS = {"hits": 0, "misses": 0}
 
 
 def memo_counters() -> dict:
-    """Hit/miss counts of the compilation memo."""
-    return dict(_MEMO_COUNTS)
+    """Hit/miss counts of the compilation memo in this process."""
+    return {
+        "hits": metrics.value("circuit_memo_hits"),
+        "misses": metrics.value("circuit_memo_misses"),
+    }
 
 
 def clear_circuit_memo() -> None:
@@ -91,9 +94,9 @@ def compile_truth_table(
     )
     cached = _CIRCUIT_MEMO.get(memo_key)
     if cached is not None:
-        _MEMO_COUNTS["hits"] += 1
+        metrics.add("circuit_memo_hits")
         return cached
-    _MEMO_COUNTS["misses"] += 1
+    metrics.add("circuit_memo_misses")
 
     b = CircuitBuilder(n)
     input_wires: List[List[int]] = [b.input_bits(i, w) for i, w in enumerate(widths)]

@@ -11,17 +11,34 @@ sharing with small party counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from typing import Iterable, List, Sequence
+
+from .. import metrics
 
 #: Default prime: 2**521 - 1 (a Mersenne prime), large enough to embed
 #: (value, tag, tag) triples of the sizes used throughout the library.
 DEFAULT_PRIME = 2**521 - 1
 
-#: Hit/miss counters of the Lagrange-basis memo (the validated-modulus and
-#: field-interning caches report through ``lru_cache.cache_info``); the
-#: runtime's instrumentation reads all of them via :func:`memo_counters`.
-_LAGRANGE_COUNTS = {"hits": 0, "misses": 0}
+
+def _counted_memo(build):
+    """Memoize ``build`` per process by its arguments, counting every
+    lookup as a ``memo_hits`` or ``memo_misses`` in :mod:`repro.metrics`
+    (a call that raises is a miss and stores nothing)."""
+    memo = {}
+
+    @wraps(build)
+    def lookup(*args):
+        try:
+            value = memo[args]
+        except KeyError:
+            metrics.add("memo_misses")
+            value = memo[args] = build(*args)
+            return value
+        metrics.add("memo_hits")
+        return value
+
+    return lookup
 
 
 def is_probable_prime(n: int, rounds: int = 16) -> bool:
@@ -51,7 +68,7 @@ def is_probable_prime(n: int, rounds: int = 16) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@_counted_memo
 def _validated_modulus(p: int) -> int:
     """Check a candidate modulus once per process.
 
@@ -161,7 +178,7 @@ class Field:
             raise ValueError("interpolation points must have distinct x")
         basis = self._lagrange_memo.get(xs)
         if basis is None:
-            _LAGRANGE_COUNTS["misses"] += 1
+            metrics.add("memo_misses")
             coeffs = []
             for i, xi in enumerate(xs):
                 num, den = 1, 1
@@ -174,14 +191,14 @@ class Field:
             basis = tuple(coeffs)
             self._lagrange_memo[xs] = basis
         else:
-            _LAGRANGE_COUNTS["hits"] += 1
+            metrics.add("memo_hits")
         secret = 0
         for (_, yi), coeff in zip(points, basis):
             secret = (secret + yi * coeff) % self.p
         return secret
 
 
-@lru_cache(maxsize=None)
+@_counted_memo
 def get_field(p: int = DEFAULT_PRIME) -> Field:
     """Interned :class:`Field` for ``p`` (one instance per process).
 
@@ -198,18 +215,12 @@ def default_field() -> Field:
 
 
 def memo_counters() -> dict:
-    """Aggregate hit/miss counts of this module's setup memos.
-
-    Read by ``repro.runtime.cache`` when assembling batch statistics; the
-    crypto layer itself never imports the runtime.
-    """
-    validated = _validated_modulus.cache_info()
-    interned = get_field.cache_info()
+    """Hits and misses of this module's setup memos (validated moduli,
+    interned fields, Lagrange bases) in this process, read from
+    :mod:`repro.metrics`."""
     return {
-        "hits": validated.hits + interned.hits + _LAGRANGE_COUNTS["hits"],
-        "misses": (
-            validated.misses + interned.misses + _LAGRANGE_COUNTS["misses"]
-        ),
+        "hits": metrics.value("memo_hits"),
+        "misses": metrics.value("memo_misses"),
     }
 
 

@@ -28,7 +28,7 @@ class ProtocolViolation(RuntimeError):
     run as ``HONEST_HUNG`` instead of losing the whole chunk.
     """
 
-    def __init__(self, message: str, result: "ExecutionResult" = None):
+    def __init__(self, message: str, result: "ExecutionResult"):
         super().__init__(message)
         self.result = result
 

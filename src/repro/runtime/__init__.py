@@ -11,18 +11,17 @@ replay), so a crashed worker can never bias a measured event frequency.
 Orthogonally to the venue, each chunk is computed by an *execution
 backend*: the reference state machine, or — for eligible tasks — a
 closed-form chunk kernel from ``runtime.vectorized`` that reproduces the
-reference results bit-for-bit.  See docs/architecture.md ("Measurement runtime" /
-"Failure semantics" / "Execution backends").
+reference results bit-for-bit.  What a batch did is counted in
+:mod:`repro.metrics`, one table of named counters that every layer adds
+to where the work happens; each batch folds its delta (and its pool
+workers' deltas) into the ``metrics`` mapping of its :class:`RunStats`,
+which the export writes out whole.  The benchmark tracer's layer rows,
+``service.stats`` and an event stream do not read that table yet.  See
+docs/architecture.md ("Measurement runtime" / "Failure semantics" /
+"Execution backends" / "Observability").
 """
 
-from .cache import (
-    CACHE_SCHEMA_VERSION,
-    PHASES,
-    ChunkCache,
-    instrumentation_delta,
-    instrumentation_snapshot,
-    resolve_cache,
-)
+from .cache import CACHE_SCHEMA_VERSION, ChunkCache, resolve_cache
 from .early_stop import EarlyStopRule
 from .retry import (
     NO_FAULTS,
@@ -80,9 +79,6 @@ __all__ = [
     "SMALL_BATCH_THRESHOLD",
     "ChunkCache",
     "resolve_cache",
-    "instrumentation_snapshot",
-    "instrumentation_delta",
-    "PHASES",
     "CACHE_SCHEMA_VERSION",
     "RunJournal",
     "resolve_journal",

@@ -1,4 +1,4 @@
-"""Hot-path caching: persistent chunk results and per-phase instrumentation.
+"""Hot-path caching: setup memos and persistent chunk results.
 
 Two distinct kinds of reuse live in the performance layer, with very
 different soundness arguments:
@@ -9,8 +9,9 @@ different soundness arguments:
   (``crypto.field``), Lagrange reconstruction bases, compiled truth-table
   circuits (``circuits.compiler``), and circuit layer plans
   (``circuits.circuit``).  Those memos live next to the constructors they
-  accelerate (the low layers must not import the runtime); this module
-  only *aggregates* their hit/miss counters into the batch statistics.
+  accelerate (the low layers must not import the runtime) and count
+  their hits and misses into :mod:`repro.metrics`, as the stores below
+  count their traffic.
 
 * **Persistent chunk stores** — on-disk stores of chunk partials keyed
   by a canonical fingerprint of (protocol, strategy, input sampler,
@@ -36,11 +37,10 @@ a canonical description of everything their partials depend on — tasks
 that cannot name their content (closures without labels) return ``None``
 and are simply never cached.
 
-Per-phase wall-clock (setup / execute / classify) is accumulated in the
-process-local :data:`PHASES` clock by ``ExecutionTask.run_chunk``;
-runners snapshot/delta the combined instrumentation around each chunk so
-worker processes ship their phase times and counter increments back to
-the parent inside the chunk result.
+This module keeps no counters of its own: every count it makes goes to
+:mod:`repro.metrics` under its ``RunStats`` export name, in whichever
+process makes it, and reaches the batch's ``RunStats`` by the runners'
+snapshot/delta path.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Tuple
 
+from .. import metrics
 from ..crypto.prf import encode_seed
 from .codec import WireError, decode_partial, encode_partial
 from .config import knob
@@ -178,98 +179,18 @@ def write_entry(root: Path, key: str, partial) -> bool:
     return True
 
 
-class PhaseClock:
-    """Process-local accumulator of per-phase wall-clock seconds."""
-
-    __slots__ = ("setup_s", "execute_s", "classify_s")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        self.setup_s = 0.0
-        self.execute_s = 0.0
-        self.classify_s = 0.0
-
-
-#: The clock ``ExecutionTask.run_chunk`` feeds (one per process; workers
-#: ship deltas back to the parent inside chunk results).
-PHASES = PhaseClock()
-
-#: Keys of the instrumentation snapshot/delta dictionaries.
-INSTRUMENT_KEYS = (
-    "setup_s",
-    "execute_s",
-    "classify_s",
-    "memo_hits",
-    "memo_misses",
-    "cache_hits",
-    "cache_misses",
-    "cache_stores",
-    "cache_corrupt",
-    "cache_write_errors",
-    "vectorized_runs",
-    "calibration_runs",
-)
-
-
-def instrumentation_snapshot() -> dict:
-    """Current process-local phase clocks and cache counters.
-
-    Runners bracket each chunk with ``snapshot``/``delta`` so the
-    increments can be attributed to that chunk (and, for pool chunks,
-    shipped from the worker back to the parent).
-    """
-    # Imported lazily: the memos live in the low layers, and the runtime
-    # reads their counters without the low layers knowing about us.
-    from ..circuits import compiler
-    from ..crypto import field
-    from .vectorized.registry import COUNTERS as vectorized_counters
-
-    field_memo = field.memo_counters()
-    circuit_memo = compiler.memo_counters()
-    return {
-        "setup_s": PHASES.setup_s,
-        "execute_s": PHASES.execute_s,
-        "classify_s": PHASES.classify_s,
-        "memo_hits": field_memo["hits"] + circuit_memo["hits"],
-        "memo_misses": field_memo["misses"] + circuit_memo["misses"],
-        "cache_hits": ChunkCache.counters["hits"],
-        "cache_misses": ChunkCache.counters["misses"],
-        "cache_stores": ChunkCache.counters["stores"],
-        "cache_corrupt": ChunkCache.counters["corrupt"],
-        "cache_write_errors": ChunkCache.counters["write_errors"],
-        "vectorized_runs": vectorized_counters["vectorized_runs"],
-        "calibration_runs": vectorized_counters["calibration_runs"],
-    }
-
-
-def instrumentation_delta(before: dict) -> dict:
-    """Instrumentation increments since a ``before`` snapshot."""
-    after = instrumentation_snapshot()
-    return {k: after[k] - before[k] for k in INSTRUMENT_KEYS}
-
-
 class ChunkCache:
     """Content-addressed on-disk store of chunk partials, best-effort.
 
     Entries use the module's shared key, format and layout.  An
     unreadable entry is a miss, a corrupt one a quarantined miss counted
-    in ``counters["corrupt"]``, and a failed write (or a partial the
-    codec cannot encode) is counted in ``counters["write_errors"]``: the
+    in ``cache_corrupt_entries``, and a failed write (or a partial the
+    codec cannot encode) is counted in ``cache_write_errors``: the
     cache can make a sweep faster but can never make it fail or change
     its result.  The measured partials are payoff-independent, so
-    entries are shared across payoff vectors soundly.
+    entries are shared across payoff vectors soundly.  Its traffic is
+    counted in :mod:`repro.metrics` in whichever process consults it.
     """
-
-    #: Process-wide traffic counters (workers ship deltas back).
-    counters = {
-        "hits": 0,
-        "misses": 0,
-        "stores": 0,
-        "corrupt": 0,
-        "write_errors": 0,
-    }
 
     def __init__(self, root):
         self.root = Path(root)
@@ -282,15 +203,15 @@ class ChunkCache:
         """``(True, partial)`` on a hit, ``(False, None)`` otherwise."""
         outcome, partial = read_entry(self.root, key)
         if outcome == "corrupt":
-            ChunkCache.counters["corrupt"] += 1
+            metrics.add("cache_corrupt_entries")
         hit = outcome == "hit"
-        ChunkCache.counters["hits" if hit else "misses"] += 1
+        metrics.add("cache_hits" if hit else "cache_misses")
         return hit, partial
 
     def store(self, key: str, value) -> None:
         """Atomically persist one partial (best-effort, checksummed)."""
         stored = write_entry(self.root, key, value)
-        ChunkCache.counters["stores" if stored else "write_errors"] += 1
+        metrics.add("cache_stores" if stored else "cache_write_errors")
 
     def __len__(self) -> int:
         return count_entries(self.root)

@@ -14,7 +14,8 @@ Everything but where it runs (the parent) is the chunk cache's: key,
 entry format, layout, quarantine rule and rename-only write path (see
 :mod:`repro.runtime.cache`).  A process crash loses nothing recorded; a
 machine crash may cost recomputation, never a wrong answer: a lost entry
-is a miss, a torn one is quarantined and counted in
+is a miss, a torn one is quarantined.  Stored and quarantined entries
+are counted in :mod:`repro.metrics` as ``journal_appended_chunks`` and
 ``journal_corrupt_records``.  Opaque tasks are never journaled.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
+from .. import metrics
 from .cache import chunk_key, count_entries, read_entry, write_entry
 from .config import knob
 
@@ -33,9 +35,6 @@ class RunJournal:
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: Entries quarantined as corrupt so far; the runner attributes
-        #: the increments to the batch that met them.
-        self.corrupt = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RunJournal(root={str(self.root)!r})"
@@ -51,7 +50,10 @@ class RunJournal:
         key = chunk_key(task, start, stop)
         if key is None:
             return False
-        return write_entry(self.root, key, partial)
+        stored = write_entry(self.root, key, partial)
+        if stored:
+            metrics.add("journal_appended_chunks")
+        return stored
 
     def fetch(self, task, start: int, stop: int):
         """``(True, partial)`` when the chunk is journaled, else
@@ -61,7 +63,7 @@ class RunJournal:
             return False, None
         outcome, partial = read_entry(self.root, key)
         if outcome == "corrupt":
-            self.corrupt += 1
+            metrics.add("journal_corrupt_records")
         return outcome == "hit", partial
 
     def __len__(self) -> int:

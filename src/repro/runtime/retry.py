@@ -34,8 +34,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from .. import metrics
 from ..crypto.prf import Rng
-from .cache import PHASES, chunk_key
+from .cache import chunk_key
 from .config import KNOBS, knob, positive
 
 
@@ -130,7 +131,6 @@ def _execute_chunk(task, start: int, stop: int, backend: str):
     """
     if backend != "reference":
         from .vectorized import BackendError, kernel_for
-        from .vectorized.registry import COUNTERS
 
         kernel = kernel_for(task)
         if kernel is not None:
@@ -145,8 +145,8 @@ def _execute_chunk(task, start: int, stop: int, backend: str):
                     f"task {getattr(task, 'label', task)!r} failed on "
                     f"chunk [{start}, {stop}): {exc!r}"
                 ) from exc
-            PHASES.execute_s += time.perf_counter() - t0
-            COUNTERS["vectorized_runs"] += stop - start
+            metrics.add("execute_s", time.perf_counter() - t0)
+            metrics.add("vectorized_runs", stop - start)
             return part
         if backend == "vectorized":
             raise BackendError(

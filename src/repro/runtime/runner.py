@@ -12,7 +12,7 @@ Two interchangeable backends:
   in its own pipe.  Workers inherit the live task objects at fork, so
   strategy factories built from closures need no pickling: a request is
   ``(task index, start, stop, attempt, fault)``, and the reply a
-  picklable partial plus the worker's instrumentation delta.
+  picklable partial plus the worker's metrics delta.
 
 Determinism contract: per-run randomness depends only on ``(seed, k)``
 via ``Rng(seed).fork(f"run-{k}")`` inside the task, and partials are
@@ -46,12 +46,8 @@ import time
 from multiprocessing.connection import wait
 from typing import List, Optional, Sequence
 
-from .cache import (
-    ChunkCache,
-    instrumentation_delta,
-    instrumentation_snapshot,
-    resolve_cache,
-)
+from .. import metrics
+from .cache import ChunkCache, resolve_cache
 from .config import knob, positive
 from .early_stop import EarlyStopRule
 from .journal import RunJournal, resolve_journal
@@ -208,8 +204,11 @@ class BatchRunner:
     def _batch(self, tasks):
         """A fresh :class:`BatchLog` for one batch.  The batch's
         :class:`RunStats` is recorded on the way out even when the batch
-        raises, and a re-raised Ctrl-C carries it as ``run_stats``."""
+        raises, and a re-raised Ctrl-C carries it as ``run_stats``.
+        Everything this process counted in :mod:`repro.metrics` meanwhile
+        is the batch's: its chunks, replays and store traffic."""
         t0 = time.perf_counter()
+        before = metrics.snapshot()
         log = BatchLog(observer=self.chunk_observer)
         interrupt = None
         try:
@@ -218,6 +217,7 @@ class BatchRunner:
             interrupt = exc
             raise
         finally:
+            log.counts.update(metrics.delta(before))
             self._record(tasks, t0, log)
             if interrupt is not None:
                 interrupt.run_stats = self.last_stats
@@ -253,7 +253,8 @@ class BatchRunner:
                         log.chunk(ti, start, stop, 0, "journaled", venue, 0.0)
                     else:
                         part = compute(ti, start, stop)
-                        self._journal_record(tasks[ti], start, stop, part, log)
+                        if self.journal is not None:
+                            self.journal.record(tasks[ti], start, stop, part)
                     handled.add((ti, start, stop))
                     value = part if value is None else merge_partials(value, part)
                     if early_stop is not None and early_stop.should_stop(value):
@@ -268,12 +269,9 @@ class BatchRunner:
         return values
 
     def _record(self, tasks, t0, log: BatchLog) -> None:
-        engines = {
-            c.engine
-            for c in log.chunks
-            if c.outcome != "cancelled" and c.engine not in ("cache", "journal")
-        }
-        if not log.vectorized_runs:
+        done = [c for c in log.chunks if c.outcome != "cancelled"]
+        engines = {c.engine for c in done} - {"cache", "journal"}
+        if not log.counts["vectorized_runs"]:
             execution_backend = "reference"
         elif engines == {"vectorized"}:
             execution_backend = "vectorized"
@@ -283,38 +281,19 @@ class BatchRunner:
             backend=self.backend,
             jobs=getattr(self, "jobs", 1),
             n_tasks=len(tasks),
-            n_chunks=log.n_chunks,
+            n_chunks=len(done),
             requested=sum(t.n_runs for t in tasks),
-            executions=log.executions,
+            executions=sum(c.n_runs for c in done),
             wall_clock_s=time.perf_counter() - t0,
             stopped_early=log.stopped_early,
-            failed_attempts=log.failed_attempts,
-            retries=log.retries,
-            timeouts=log.timeouts,
-            serial_replays=log.serial_replays,
-            cancelled_chunks=log.cancelled,
-            journal_replayed_chunks=log.journal_replayed,
-            journal_appended_chunks=log.journal_appends,
-            journal_corrupt_records=log.journal_corrupt,
-            cache_corrupt_entries=log.cache_corrupt,
-            cache_write_errors=log.cache_write_errors,
-            setup_s=log.setup_s,
-            execute_s=log.execute_s,
-            classify_s=log.classify_s,
-            memo_hits=log.memo_hits,
-            memo_misses=log.memo_misses,
-            cache_hits=log.cache_hits,
-            cache_misses=log.cache_misses,
-            cache_stores=log.cache_stores,
             execution_backend=execution_backend,
-            vectorized_runs=log.vectorized_runs,
-            calibration_runs=log.calibration_runs,
+            metrics=log.counts,
             chunks=tuple(log.chunks),
         )
         self.stats_history.append(self.last_stats)
 
-    def _journal_fetch(self, task, start, stop, log: BatchLog):
-        """Look one span up in the run ledger; count quarantined entries.
+    def _journal_fetch(self, task, start, stop):
+        """Look one span up in the run ledger.
 
         Does *not* log a chunk record — the caller logs the span as
         ``"journaled"`` only when it actually consumes the partial, so
@@ -323,19 +302,7 @@ class BatchRunner:
         """
         if self.journal is None:
             return False, None
-        corrupt = self.journal.corrupt
-        hit, part = self.journal.fetch(task, start, stop)
-        log.journal_corrupt += self.journal.corrupt - corrupt
-        return hit, part
-
-    def _journal_record(self, task, start, stop, part, log: BatchLog) -> None:
-        """Store one computed span in the run ledger: a process crash
-        loses nothing recorded; a machine crash may cost recomputation,
-        never a wrong answer."""
-        if self.journal is None:
-            return
-        if self.journal.record(task, start, stop, part):
-            log.journal_appends += 1
+        return self.journal.fetch(task, start, stop)
 
     def _serial_chunk(self, task, ti, start, stop, log: BatchLog):
         """In-process chunk execution with the full retry ladder.
@@ -346,7 +313,7 @@ class BatchRunner:
         the caller's ``finally``).
         """
         t0 = time.perf_counter()
-        before = instrumentation_snapshot()
+        before = metrics.snapshot()
         policy = self.retry
         for attempt in range(policy.max_retries + 1):
             try:
@@ -359,7 +326,7 @@ class BatchRunner:
                 log.chunk(
                     ti, start, stop, attempt + 1, outcome, "serial",
                     time.perf_counter() - t0,
-                    inst=instrumentation_delta(before),
+                    inst=metrics.delta(before),
                 )
                 return part
             except BackendError:
@@ -369,9 +336,9 @@ class BatchRunner:
                 # silently void the caller's backend assertion.
                 raise
             except Exception:
-                log.failed_attempts += 1
+                log.counts["failed_attempts"] += 1
                 if attempt < policy.max_retries:
-                    log.retries += 1
+                    log.counts["retries"] += 1
                     time.sleep(policy.backoff_for(attempt + 1))
         # Retries exhausted: trusted replay, fault injection disabled
         # (and cache bypassed — the replay rung must recompute).
@@ -379,7 +346,7 @@ class BatchRunner:
         log.chunk(
             ti, start, stop, policy.max_retries + 2, "replayed", "serial",
             time.perf_counter() - t0,
-            inst=instrumentation_delta(before),
+            inst=metrics.delta(before),
         )
         return part
 
@@ -413,7 +380,7 @@ class SerialRunner(BatchRunner):
         with self._batch(tasks) as log:
             return self._fold(
                 tasks, plans, log, early_stop, "serial",
-                lambda ti, *span: self._journal_fetch(tasks[ti], *span, log),
+                lambda ti, *span: self._journal_fetch(tasks[ti], *span),
                 lambda ti, *span: self._serial_chunk(tasks[ti], ti, *span, log),
             )
 
@@ -427,16 +394,15 @@ def _serve_chunks(conn, tasks, cache, backend) -> None:
 
     ``tasks`` are the batch's live task objects, inherited at fork.  Any
     exception the attempt raises is shipped back for the parent to judge,
-    and every reply carries the instrumentation delta (phase seconds,
-    memo/cache counter increments, vectorized-run counts) measured here,
-    so the parent's batch totals aggregate across processes.
+    and every reply carries the :func:`repro.metrics.delta` of the
+    attempt, so the parent's batch totals aggregate across processes.
     """
     while True:
         try:
             ti, start, stop, attempt, fault = conn.recv()
         except EOFError:
             return
-        before = instrumentation_snapshot()
+        before = metrics.snapshot()
         part = error = None
         try:
             part = run_task_chunk(
@@ -447,7 +413,7 @@ def _serve_chunks(conn, tasks, cache, backend) -> None:
             # Shipped whole: the parent re-raises an interrupt or an exit
             # where the span is consumed, and retries anything else.
             error = exc
-        inst = instrumentation_delta(before)
+        inst = metrics.delta(before)
         try:
             conn.send((part, error, inst))
         except OSError:  # the parent abandoned this worker
@@ -481,7 +447,7 @@ class ProcessPoolExecutor:
         self.sent: dict = {}  # span -> time of its first dispatch
         self.done: dict = {}  # span -> (status, value, attempts)
         self.dropped: set = set()  # spans early stopping cancelled
-        #: span -> the summed instrumentation deltas of its attempts
+        #: span -> the summed metrics deltas of its attempts
         self.inst = collections.defaultdict(collections.Counter)
         #: worker -> its spans in flight as ``[span, attempt, deadline]``;
         #: only the first, the one it is running, has a deadline
@@ -501,15 +467,17 @@ class ProcessPoolExecutor:
             raise value
         ti, start, stop = span
         inst = self.inst.pop(span, collections.Counter())
+        # The workers' counts; the batch takes this process's at its end.
+        self.log.counts.update(inst)
         venue = "pool"
         if status == "replay":
             # Final rung: trusted in-process replay, fault injection
             # disabled and the chunk cache bypassed.  A genuine task bug
             # raises here and propagates (run()'s finally still records
             # the stats).
-            before = instrumentation_snapshot()
+            before = metrics.snapshot()
             value = self.tasks[ti].run_chunk(start, stop)
-            inst.update(instrumentation_delta(before))
+            inst.update(metrics.delta(before))
             attempts, status, venue = attempts + 1, "replayed", "serial"
         elif attempts > 1:
             status = "retried"
@@ -551,7 +519,7 @@ class ProcessPoolExecutor:
         now = time.monotonic()
         for worker, flight in list(self.flights.items()):
             if flight and flight[0][2] is not None and now >= flight[0][2]:
-                self.log.timeouts += 1
+                self.log.counts["timeouts"] += 1
                 self._lost(worker)
             elif flight and not ready and not worker.process.is_alive():
                 self._lost(worker)
@@ -618,7 +586,7 @@ class ProcessPoolExecutor:
             # raised where the span is consumed, never retried.
             self.done[span] = ("raised", error, attempt + 1)
         else:
-            self.log.failed_attempts += 1
+            self.log.counts["failed_attempts"] += 1
             self._retry(span, attempt)
 
     def _lost(self, worker: Worker) -> None:
@@ -629,7 +597,7 @@ class ProcessPoolExecutor:
         worker.kill()
         self._spawn()
         span, attempt, _ = flight.popleft()
-        self.log.failed_attempts += 1
+        self.log.counts["failed_attempts"] += 1
         if span not in self.dropped:
             self._retry(span, attempt)
         for span, attempt, _ in flight:
@@ -641,7 +609,7 @@ class ProcessPoolExecutor:
         if attempt > policy.max_retries:
             self.done[span] = ("replay", None, attempt)
             return
-        self.log.retries += 1
+        self.log.counts["retries"] += 1
         ready_at = time.monotonic() + policy.backoff_for(attempt)
         heapq.heappush(self.retries, (ready_at, span, attempt))
 
@@ -716,7 +684,7 @@ class ProcessPoolRunner(BatchRunner):
                     for ti, plan in enumerate(plans):
                         for start, stop in plan:
                             hit, part = self._journal_fetch(
-                                tasks[ti], start, stop, log
+                                tasks[ti], start, stop
                             )
                             if hit:
                                 journaled[(ti, start, stop)] = (True, part)
@@ -732,13 +700,11 @@ class ProcessPoolRunner(BatchRunner):
                     # matchers (and their calibration runs, counted here)
                     # per batch.  A task the journal replays in full
                     # needs no kernel.
-                    before = instrumentation_snapshot()
                     for ti in dict.fromkeys(span[0] for span in todo):
                         try:
                             kernel_for(tasks[ti])
                         except Exception:
                             pass  # the workers meet it again in the retry ladder
-                    log.add(instrumentation_delta(before))
                 pool = ProcessPoolExecutor(self, tasks, todo, log)
                 return self._fold(
                     tasks, plans, log, early_stop, "pool",

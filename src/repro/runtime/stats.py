@@ -15,13 +15,22 @@ alongside the measurements themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from ..core.utility import EventCounts
+from ..metrics import with_defaults
 
 #: Valid ``ChunkStats.outcome`` values.
 CHUNK_OUTCOMES = ("ok", "retried", "replayed", "cancelled", "journaled")
+
+#: The ``RunStats`` counter a chunk of each of these outcomes adds one to.
+_OUTCOME_COUNTERS = {
+    "cancelled": "cancelled_chunks",
+    "replayed": "serial_replays",
+    "journaled": "journal_replayed_chunks",
+}
 
 
 @dataclass(frozen=True)
@@ -78,21 +87,30 @@ class ChunkStats:
 class RunStats:
     """Wall-clock and failure accounting for one runner batch.
 
-    Since the hot-path optimization layer, a batch also carries the
-    summed per-phase times of its chunks (``setup_s``/``execute_s``/
-    ``classify_s`` — worker processes ship their increments back inside
-    chunk results, so pool batches aggregate correctly) and the cache
-    traffic it generated: ``memo_*`` counts the process-local setup
-    memos (validated primes, interned fields, Lagrange bases, compiled
-    circuits), ``cache_*`` the persistent chunk-result cache.
-
+    The fields name the batch: its venue, size and what it executed.
     ``backend`` is the runner *venue* (``"serial"``/``"process-pool"``);
     ``execution_backend`` records which engine computed the events:
     ``"reference"``, ``"vectorized"``, or ``"mixed"`` when a batch split
     between them (e.g. some tasks had kernels and others fell back).
-    ``vectorized_runs`` counts the executions handled by chunk kernels,
-    ``calibration_runs`` the engine runs those kernels stepped while
-    being built (see ``vectorized.kernels.calibrated``).
+
+    ``metrics`` holds every counter of the batch by its export name (see
+    :mod:`repro.metrics`), read as attributes too (``stats.cache_hits``):
+    the recovery machinery's ``failed_attempts``/``retries``/``timeouts``/
+    ``serial_replays``/``cancelled_chunks``; the run ledger's
+    ``journal_replayed_chunks``/``journal_appended_chunks``/
+    ``journal_corrupt_records``; the chunk cache's ``cache_*``; the summed
+    per-phase seconds of its chunks (``setup_s``/``execute_s``/
+    ``classify_s``, measured in whichever process ran them); the field
+    setup memos' ``memo_hits``/``memo_misses`` (validated moduli,
+    interned fields, Lagrange bases); ``vectorized_runs`` (executions
+    handled by chunk kernels) and ``calibration_runs`` (engine runs those
+    kernels stepped while being built, see
+    ``vectorized.kernels.calibrated``).  ``service_dedup_hits``/
+    ``service_rate_limited`` are stamped onto a service job's last batch
+    export by ``service.jobs.JobPool``.  Every name in
+    :data:`repro.metrics.EXPORTED` is present; any other name the batch
+    counted rides beside them (``circuit_memo_hits`` in a batch that
+    compiles a circuit, say).
     """
 
     backend: str
@@ -103,40 +121,18 @@ class RunStats:
     executions: int
     wall_clock_s: float
     stopped_early: bool = False
-    failed_attempts: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    serial_replays: int = 0
-    cancelled_chunks: int = 0
-    #: Run-ledger traffic (see ``runtime.journal``): spans replayed,
-    #: spans stored (a process crash loses none; a machine crash may cost
-    #: recomputation, never a wrong answer) and entries quarantined as
-    #: corrupt (torn, bad checksum, misfiled or undecodable).
-    journal_replayed_chunks: int = 0
-    journal_appended_chunks: int = 0
-    journal_corrupt_records: int = 0
-    #: Chunk-cache integrity: entries quarantined on checksum mismatch
-    #: (each also counts as a miss) and store attempts that failed.
-    cache_corrupt_entries: int = 0
-    cache_write_errors: int = 0
-    setup_s: float = 0.0
-    execute_s: float = 0.0
-    classify_s: float = 0.0
-    memo_hits: int = 0
-    memo_misses: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_stores: int = 0
     execution_backend: str = "reference"
-    vectorized_runs: int = 0
-    calibration_runs: int = 0
-    #: Service venue only (``repro serve``): snapshots of the job pool's
-    #: dedupe and rate-limit counters, stamped onto the batch by
-    #: ``service.jobs.JobPool`` when the job completes.  Zero for every
-    #: batch that did not run under the service.
-    service_dedup_hits: int = 0
-    service_rate_limited: int = 0
+    metrics: Dict[str, float] = field(default_factory=dict)
     chunks: Tuple[ChunkStats, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "metrics", with_defaults(self.metrics))
+
+    def __getattr__(self, name: str):
+        try:
+            return self.__dict__["metrics"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     @property
     def executions_per_sec(self) -> float:
@@ -206,30 +202,12 @@ class BatchLog:
 
     def __init__(self, observer=None):
         self.observer = observer
-        self.n_chunks = 0
-        self.executions = 0
-        self.failed_attempts = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.serial_replays = 0
-        self.cancelled = 0
-        self.journal_replayed = 0
-        self.journal_appends = 0
-        self.journal_corrupt = 0
-        self.cache_corrupt = 0
-        self.cache_write_errors = 0
-        self.setup_s = 0.0
-        self.execute_s = 0.0
-        self.classify_s = 0.0
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_stores = 0
-        self.vectorized_runs = 0
-        self.calibration_runs = 0
         self.stopped_early = False
         self.chunks: List[ChunkStats] = []
+        #: The batch's counters by export name: the runner's own
+        #: bookkeeping, the deltas pool workers ship with their spans and,
+        #: when the batch ends, the delta of the runner's own process.
+        self.counts: Counter = Counter()
 
     def chunk(
         self,
@@ -244,10 +222,9 @@ class BatchLog:
     ) -> None:
         """Record one resolved chunk.
 
-        ``inst`` is the instrumentation delta measured around the chunk
-        (phase seconds plus memo/cache counter increments — see
-        ``runtime.cache.instrumentation_delta``); for pool chunks it is
-        the delta the worker shipped back with the partial.
+        ``inst`` is the :func:`repro.metrics.delta` measured around the
+        chunk (for pool chunks, the one its worker shipped back); it
+        fills the chunk's phase seconds, cache state and engine.
         """
         inst = inst or {}
         record = self._build_chunk(
@@ -260,31 +237,8 @@ class BatchLog:
                 self.observer(record)
             except Exception:
                 pass
-        self.add(inst)
-        if outcome == "cancelled":
-            self.cancelled += 1
-        else:
-            self.n_chunks += 1
-            self.executions += stop - start
-            if outcome == "replayed":
-                self.serial_replays += 1
-            elif outcome == "journaled":
-                self.journal_replayed += 1
-
-    def add(self, inst: dict) -> None:
-        """Fold an instrumentation delta into the batch totals."""
-        self.setup_s += inst.get("setup_s", 0.0)
-        self.execute_s += inst.get("execute_s", 0.0)
-        self.classify_s += inst.get("classify_s", 0.0)
-        self.memo_hits += inst.get("memo_hits", 0)
-        self.memo_misses += inst.get("memo_misses", 0)
-        self.cache_hits += inst.get("cache_hits", 0)
-        self.cache_misses += inst.get("cache_misses", 0)
-        self.cache_stores += inst.get("cache_stores", 0)
-        self.cache_corrupt += inst.get("cache_corrupt", 0)
-        self.cache_write_errors += inst.get("cache_write_errors", 0)
-        self.vectorized_runs += inst.get("vectorized_runs", 0)
-        self.calibration_runs += inst.get("calibration_runs", 0)
+        if outcome in _OUTCOME_COUNTERS:
+            self.counts[_OUTCOME_COUNTERS[outcome]] += 1
 
     def _build_chunk(
         self,

@@ -24,11 +24,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from .. import metrics
 from ..core.events import FairnessEvent, classify
 from ..core.utility import EventCounts
 from ..crypto.prf import Rng
 from ..engine.execution import ProtocolViolation, run_execution
-from .cache import PHASES
 
 
 def default_chunk_size(n_runs: int) -> int:
@@ -125,36 +125,42 @@ class ExecutionTask:
         master = Rng(self.seed)
         counts = EventCounts()
         clock = time.perf_counter
-        for k in range(start, stop):
-            t0 = clock()
-            rng = master.fork(f"run-{k}")
-            inputs = sampler(rng.fork("inputs"))
-            adversary = self.factory(rng.fork("adversary"))
-            t1 = clock()
-            PHASES.setup_s += t1 - t0
-            try:
-                result = run_execution(
-                    self.protocol,
-                    inputs,
-                    adversary,
-                    rng.fork("exec"),
-                )
-            except ProtocolViolation as exc:
+        setup_s = execute_s = classify_s = 0.0
+        try:
+            for k in range(start, stop):
+                t0 = clock()
+                rng = master.fork(f"run-{k}")
+                inputs = sampler(rng.fork("inputs"))
+                adversary = self.factory(rng.fork("adversary"))
+                t1 = clock()
+                setup_s += t1 - t0
+                try:
+                    result = run_execution(
+                        self.protocol,
+                        inputs,
+                        adversary,
+                        rng.fork("exec"),
+                    )
+                except ProtocolViolation as exc:
+                    t2 = clock()
+                    execute_s += t2 - t1
+                    # An honest party never output: a protocol bug, but
+                    # the batch degrades to a classified event instead of
+                    # dying.  The attached result carries the hung set.
+                    counts.record(
+                        FairnessEvent.HONEST_HUNG, exc.result.corrupted
+                    )
+                    classify_s += clock() - t2
+                    continue
                 t2 = clock()
-                PHASES.execute_s += t2 - t1
-                # An honest party never output: a protocol bug, but the
-                # batch degrades to a classified event instead of dying.
-                # The attached result carries the hung set.
-                if exc.result is None:
-                    raise
-                counts.record(FairnessEvent.HONEST_HUNG, exc.result.corrupted)
-                PHASES.classify_s += clock() - t2
-                continue
-            t2 = clock()
-            PHASES.execute_s += t2 - t1
-            event = self.protocol.classify_result(result)
-            if event is None:
-                event = classify(result, self.protocol.func)
-            counts.record(event, result.corrupted)
-            PHASES.classify_s += clock() - t2
+                execute_s += t2 - t1
+                event = self.protocol.classify_result(result)
+                if event is None:
+                    event = classify(result, self.protocol.func)
+                counts.record(event, result.corrupted)
+                classify_s += clock() - t2
+        finally:
+            metrics.add("setup_s", setup_s)
+            metrics.add("execute_s", execute_s)
+            metrics.add("classify_s", classify_s)
         return counts

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from .registry import (
     BACKENDS,
-    COUNTERS,
     BackendError,
     SentinelRng,
     SentinelRngUsed,
@@ -34,7 +33,6 @@ from .registry import (
 
 __all__ = [
     "BACKENDS",
-    "COUNTERS",
     "BackendError",
     "SentinelRng",
     "SentinelRngUsed",

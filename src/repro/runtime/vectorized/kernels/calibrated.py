@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Optional
 
+from .... import metrics
 from ....core.events import FairnessEvent
 from ....core.utility import EventCounts
-from ....engine.execution import ProtocolViolation
-from ..registry import COUNTERS
 
 #: Runs searched for each key value before the matcher gives up (the
 #: task then runs on the engine).  A key value of probability p is
@@ -29,12 +28,9 @@ _CALIBRATION_SEARCH = 256
 
 def _reference_event(task, k: int):
     """Run ``k`` of ``task`` on the engine: ``(event, corrupted)``, or
-    ``None`` for a run no kernel should replicate (hung or violating)."""
-    COUNTERS["calibration_runs"] += 1
-    try:
-        counts = task.run_chunk(k, k + 1)
-    except ProtocolViolation:
-        return None
+    ``None`` for a run no kernel should replicate (a hung honest party)."""
+    metrics.add("calibration_runs")
+    counts = task.run_chunk(k, k + 1)
     (event,) = [e for e, c in counts.counts.items() if c]
     if event is FairnessEvent.HONEST_HUNG:
         return None
@@ -51,8 +47,8 @@ def calibrated_kernel(
 
     ``key`` takes ``n_values`` values; each is calibrated on the first
     run showing it.  Returns ``None`` when a value does not show within
-    the search, a calibration run hangs or violates, or the runs disagree
-    on the corruption set.
+    the search, a calibration run hangs, or the runs disagree on the
+    corruption set.
     """
     events = {}
     corrupted = None

@@ -31,13 +31,6 @@ from typing import Callable, List, Optional
 #: Recognised backend policies, in CLI order.
 BACKENDS = ("auto", "reference", "vectorized")
 
-#: Module-level monotonic counters, shipped through the same
-#: instrumentation snapshot/delta channel as the cache and memo counters
-#: (workers ship deltas back to the parent inside chunk results): runs
-#: computed by kernels, and engine runs stepped to calibrate them.
-COUNTERS = {"vectorized_runs": 0, "calibration_runs": 0}
-
-
 class BackendError(ValueError):
     """A backend request that cannot be honoured."""
 

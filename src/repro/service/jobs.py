@@ -18,7 +18,7 @@ sends each chunk record back the moment the chunk resolves — the
 chunk-granularity stream ``job.stream`` serves — and finally the
 artifact and the job's RunStats dicts.  So N service workers run N jobs
 on N CPUs, and each job's counters are its own: the process-global
-phase clocks and cache counters see one job at a time.  Only
+:mod:`repro.metrics` table sees one job at a time.  Only
 in-process callables (``ServiceServer.register_method``, ``submit``
 with a custom ``fn``) run on the worker thread itself: a closure cannot
 cross a process boundary.

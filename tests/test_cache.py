@@ -24,12 +24,8 @@ from repro.runtime import (
     resolve_cache,
     resolve_runner,
 )
-from repro.runtime.cache import (
-    chunk_key,
-    entry_path,
-    instrumentation_delta,
-    instrumentation_snapshot,
-)
+from repro import metrics
+from repro.runtime.cache import chunk_key, entry_path
 
 
 def _tasks(n_runs=120, seed="cache-test"):
@@ -220,13 +216,13 @@ class TestChunkCacheCorrectness:
         monkeypatch.setattr(
             pickle, "loads", lambda *a, **k: unpickled.append(a)
         )
-        before = instrumentation_snapshot()
+        before = metrics.snapshot()
         assert cache.fetch(key) == (False, None)
         assert unpickled == []
-        delta = instrumentation_delta(before)
-        assert delta["cache_corrupt"] == 1
+        delta = metrics.delta(before)
+        assert delta["cache_corrupt_entries"] == 1
         assert delta["cache_misses"] == 1
-        assert delta["cache_hits"] == 0
+        assert "cache_hits" not in delta
         assert not path.exists()
         assert path.with_suffix(".corrupt").exists()
 
@@ -240,11 +236,11 @@ class TestChunkCacheCorrectness:
         path_b = entry_path(tmp_path, key_b)
         path_b.parent.mkdir(parents=True, exist_ok=True)
         path_b.write_bytes(entry_path(tmp_path, key_a).read_bytes())
-        before = instrumentation_snapshot()
+        before = metrics.snapshot()
         assert cache.fetch(key_b) == (False, None)
-        delta = instrumentation_delta(before)
-        assert delta["cache_corrupt"] == 1
-        assert delta["cache_hits"] == 0
+        delta = metrics.delta(before)
+        assert delta["cache_corrupt_entries"] == 1
+        assert "cache_hits" not in delta
         assert path_b.with_suffix(".corrupt").exists()
         assert cache.fetch(key_a)[0]
 
@@ -266,11 +262,11 @@ class TestChunkCacheCorrectness:
         cache = ChunkCache(tmp_path)
         (task,) = _tasks()[:1]
         key = chunk_key(task, 0, 10)
-        before = instrumentation_snapshot()
+        before = metrics.snapshot()
         cache.store(key, {"not": "a partial"})
-        delta = instrumentation_delta(before)
+        delta = metrics.delta(before)
         assert delta["cache_write_errors"] == 1
-        assert delta["cache_stores"] == 0
+        assert "cache_stores" not in delta
         assert len(cache) == 0
 
     def test_write_error_counted(self, tmp_path):
@@ -367,11 +363,11 @@ class TestInstrumentation:
         assert all(c.cache == "hit" for c in warm.last_stats.chunks)
 
     def test_delta_is_nonnegative_and_keyed(self):
-        before = instrumentation_snapshot()
+        before = metrics.snapshot()
         SerialRunner().run(_tasks(n_runs=20))
-        delta = instrumentation_delta(before)
-        assert set(delta) == set(before)
-        assert all(v >= 0 for v in delta.values())
+        delta = metrics.delta(before)
+        assert set(delta) <= set(metrics.snapshot())
+        assert all(v > 0 for v in delta.values())
         assert delta["execute_s"] > 0
 
     def test_export_includes_new_fields(self, tmp_path):

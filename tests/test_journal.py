@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from repro import metrics
 from repro.adversaries import strategy_space_for_protocol
 from repro.core.utility import EventCounts
 from repro.core import FairnessEvent
@@ -316,8 +317,9 @@ class TestQuarantine:
         b.write_bytes(a.read_bytes())
 
         journal = RunJournal(tmp_path)
+        before = metrics.snapshot()
         assert journal.fetch(task, 6, 12) == (False, None)
-        assert journal.corrupt == 1
+        assert metrics.delta(before) == {"journal_corrupt_records": 1}
         assert b.with_suffix(".corrupt").exists()
         assert journal.fetch(task, 0, 6)[0]
 

@@ -15,6 +15,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -179,27 +180,27 @@ class TestLifecycle:
             assert "estimate_utility" in info["methods"]
             assert "job.stream" in info["methods"]
 
-    def test_keep_alive_rpcs_skip_the_delayed_ack_wait(self):
+    def test_accepted_connections_set_tcp_nodelay(self, monkeypatch):
         # A reply is written as headers then body.  With Nagle's
-        # algorithm on, each RPC after a connection's first waited ~40 ms
-        # for the client's delayed acknowledgement of the headers.
+        # algorithm on, each RPC after a keep-alive connection's first
+        # waited ~40 ms for the client's delayed acknowledgement of the
+        # headers, so every accepted socket must have TCP_NODELAY set.
+        nodelay = []
+        setup = server_module._Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(server_module._Handler, "setup", recording_setup)
         body = json.dumps(
             {"jsonrpc": "2.0", "id": 1, "method": "service.info"}
         )
-        elapsed = []
         with _server() as srv:
-            conn = http.client.HTTPConnection("127.0.0.1", srv.port,
-                                              timeout=60)
-            try:
-                for _ in range(11):
-                    t0 = time.perf_counter()
-                    conn.request("POST", "/", body,
-                                 {"Content-Type": "application/json"})
-                    assert conn.getresponse().read()
-                    elapsed.append(time.perf_counter() - t0)
-            finally:
-                conn.close()
-        assert sorted(elapsed)[len(elapsed) // 2] < 0.02, elapsed
+            assert _post(srv.port, body)[0] == 200
+        assert nodelay and all(nodelay), nodelay
 
     def test_ephemeral_bind_returns_real_port(self):
         srv = ServiceServer(port=0, runner_factory=_serial)
