@@ -198,14 +198,20 @@ class Field:
         return secret
 
 
-@_counted_memo
 def get_field(p: int = DEFAULT_PRIME) -> Field:
     """Interned :class:`Field` for ``p`` (one instance per process).
 
     Interning keeps the per-instance Lagrange-basis memo warm across call
     sites that used to construct a throwaway ``Field(DEFAULT_PRIME)`` per
-    invocation (``vss``, ``authenticated_sharing``).
+    invocation (``vss``, ``authenticated_sharing``).  The memo is keyed
+    on the modulus alone, so ``get_field()`` and
+    ``get_field(DEFAULT_PRIME)`` are one field.
     """
+    return _interned_field(p)
+
+
+@_counted_memo
+def _interned_field(p: int) -> Field:
     return Field(p)
 
 

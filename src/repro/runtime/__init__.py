@@ -10,7 +10,7 @@ retry ladder in ``runtime.retry`` (bounded retries, then trusted serial
 replay), so a crashed worker can never bias a measured event frequency.
 Orthogonally to the venue, each chunk is computed by an *execution
 backend*: the reference state machine, or — for eligible tasks — a
-closed-form chunk kernel from ``runtime.vectorized`` that reproduces the
+chunk kernel from ``runtime.kernels`` that reproduces the
 reference results bit-for-bit.  What a batch did is counted in
 :mod:`repro.metrics`, one table of named counters that every layer adds
 to where the work happens; each batch folds its delta (and its pool
@@ -48,7 +48,7 @@ from .tasks import (
     merge_partials,
     plan_chunks,
 )
-from .vectorized import (
+from .kernels import (
     BACKENDS,
     BackendError,
     resolve_backend,

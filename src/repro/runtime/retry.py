@@ -130,7 +130,7 @@ def _execute_chunk(task, start: int, stop: int, backend: str):
     contract, so cache keys and merge semantics are backend-independent.
     """
     if backend != "reference":
-        from .vectorized import BackendError, kernel_for
+        from .kernels import BackendError, kernel_for
 
         kernel = kernel_for(task)
         if kernel is not None:
@@ -146,7 +146,6 @@ def _execute_chunk(task, start: int, stop: int, backend: str):
                     f"chunk [{start}, {stop}): {exc!r}"
                 ) from exc
             metrics.add("execute_s", time.perf_counter() - t0)
-            metrics.add("vectorized_runs", stop - start)
             return part
         if backend == "vectorized":
             raise BackendError(
@@ -184,7 +183,7 @@ def run_task_chunk(
     consults the cache at all.
 
     ``backend`` selects the execution engine (see
-    :mod:`repro.runtime.vectorized`).  Vectorized and reference chunks
+    :mod:`repro.runtime.kernels`).  Vectorized and reference chunks
     share cache keys — their partials are bit-identical — so a cache
     warmed under one backend serves the other.
     """

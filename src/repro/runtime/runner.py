@@ -54,7 +54,7 @@ from .journal import RunJournal, resolve_journal
 from .retry import FaultSpec, RetryPolicy, run_task_chunk
 from .stats import BatchLog, RunStats
 from .tasks import merge_partials, plan_chunks
-from .vectorized import BackendError, kernel_for, resolve_backend
+from .kernels import BackendError, kernel_for, resolve_backend
 from .workers import LIVENESS_POLL_S, Worker
 
 #: Batches smaller than this run serially even when a pool was requested.
@@ -467,8 +467,6 @@ class ProcessPoolExecutor:
             raise value
         ti, start, stop = span
         inst = self.inst.pop(span, collections.Counter())
-        # The workers' counts; the batch takes this process's at its end.
-        self.log.counts.update(inst)
         venue = "pool"
         if status == "replay":
             # Final rung: trusted in-process replay, fault injection
@@ -492,6 +490,7 @@ class ProcessPoolExecutor:
         nothing wants them any more."""
         for worker, flight in self.flights.items():
             (worker.kill if flight else worker.stop)()
+        self.inst.clear()  # spans dropped after they replied
 
     def _step(self, block: bool = True) -> None:
         """Dispatch what is ready, then handle the replies, deaths and
@@ -576,6 +575,9 @@ class ProcessPoolExecutor:
         if flight and timeout is not None:
             flight[0][2] = time.monotonic() + timeout  # it starts now
         self._fill()  # the worker's next span goes out first
+        # Every reply's counts, a dropped span's too; the batch takes this
+        # process's at its end.
+        self.log.counts.update(inst)
         if span in self.dropped:
             return
         self.inst[span].update(inst)

@@ -103,9 +103,10 @@ class RunStats:
     ``classify_s``, measured in whichever process ran them); the field
     setup memos' ``memo_hits``/``memo_misses`` (validated moduli,
     interned fields, Lagrange bases); ``vectorized_runs`` (executions
-    handled by chunk kernels) and ``calibration_runs`` (engine runs those
-    kernels stepped while being built, see
-    ``vectorized.kernels.calibrated``).  ``service_dedup_hits``/
+    handled by chunk kernels), ``calibration_runs`` (engine runs those
+    kernels stepped while being built, see ``kernels.draw_keyed``) and,
+    when a kernel sent runs of an uncalibrated key to the engine,
+    ``kernel_fallback_runs``.  ``service_dedup_hits``/
     ``service_rate_limited`` are stamped onto a service job's last batch
     export by ``service.jobs.JobPool``.  Every name in
     :data:`repro.metrics.EXPORTED` is present; any other name the batch

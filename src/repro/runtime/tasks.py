@@ -121,46 +121,50 @@ class ExecutionTask:
         )
 
     def run_chunk(self, start: int, stop: int) -> EventCounts:
-        sampler = self.input_sampler or self.protocol.func.sample_inputs
         master = Rng(self.seed)
         counts = EventCounts()
-        clock = time.perf_counter
-        setup_s = execute_s = classify_s = 0.0
+        phases = [0.0, 0.0, 0.0]
         try:
             for k in range(start, stop):
-                t0 = clock()
-                rng = master.fork(f"run-{k}")
-                inputs = sampler(rng.fork("inputs"))
-                adversary = self.factory(rng.fork("adversary"))
-                t1 = clock()
-                setup_s += t1 - t0
-                try:
-                    result = run_execution(
-                        self.protocol,
-                        inputs,
-                        adversary,
-                        rng.fork("exec"),
-                    )
-                except ProtocolViolation as exc:
-                    t2 = clock()
-                    execute_s += t2 - t1
-                    # An honest party never output: a protocol bug, but
-                    # the batch degrades to a classified event instead of
-                    # dying.  The attached result carries the hung set.
-                    counts.record(
-                        FairnessEvent.HONEST_HUNG, exc.result.corrupted
-                    )
-                    classify_s += clock() - t2
-                    continue
-                t2 = clock()
-                execute_s += t2 - t1
-                event = self.protocol.classify_result(result)
-                if event is None:
-                    event = classify(result, self.protocol.func)
-                counts.record(event, result.corrupted)
-                classify_s += clock() - t2
+                counts.record(*self.run_one(master.fork(f"run-{k}"), phases))
         finally:
-            metrics.add("setup_s", setup_s)
-            metrics.add("execute_s", execute_s)
-            metrics.add("classify_s", classify_s)
+            metrics.add("setup_s", phases[0])
+            metrics.add("execute_s", phases[1])
+            metrics.add("classify_s", phases[2])
         return counts
+
+    def run_one(
+        self, rng: Rng, phases: Optional[List[float]] = None
+    ) -> Tuple[FairnessEvent, frozenset]:
+        """One run from its stream ``run-{k}``: ``(event, corrupted)``,
+        adding its setup, execution and classification seconds to
+        ``phases`` when given.  Kernels pass their own ``Rng`` (a
+        recording one to calibrate), so nothing is patched to watch a
+        run's draws."""
+        phases = [0.0, 0.0, 0.0] if phases is None else phases
+        sampler = self.input_sampler or self.protocol.func.sample_inputs
+        clock = time.perf_counter
+        t0 = clock()
+        inputs = sampler(rng.fork("inputs"))
+        adversary = self.factory(rng.fork("adversary"))
+        t1 = clock()
+        try:
+            result = run_execution(
+                self.protocol, inputs, adversary, rng.fork("exec")
+            )
+        except ProtocolViolation as exc:
+            # An honest party never output: a protocol bug, but the
+            # batch degrades to a classified event instead of dying.
+            # The attached result carries the hung set.
+            t2 = clock()
+            event, corrupted = FairnessEvent.HONEST_HUNG, exc.result.corrupted
+        else:
+            t2 = clock()
+            event = self.protocol.classify_result(result)
+            if event is None:
+                event = classify(result, self.protocol.func)
+            corrupted = result.corrupted
+        phases[0] += t1 - t0
+        phases[1] += t2 - t1
+        phases[2] += clock() - t2
+        return event, frozenset(corrupted)

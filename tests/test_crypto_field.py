@@ -168,6 +168,13 @@ class TestFieldMemoization:
         assert get_field(101) is not get_field(103)
         assert default_field().p == DEFAULT_PRIME
 
+    def test_default_argument_interns_the_same_field(self):
+        """Called bare or with the default prime, one field and one
+        Lagrange memo."""
+        from repro.crypto.field import default_field, get_field
+
+        assert get_field() is get_field(DEFAULT_PRIME) is default_field()
+
     def test_interned_field_equals_fresh(self):
         from repro.crypto.field import get_field
 

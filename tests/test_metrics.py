@@ -111,8 +111,8 @@ class TestRegistry:
 
 
 def _tasks():
-    """One task the kernels run (two calibration runs) and one the
-    reference engine runs, 64 runs each: four 16-run spans apiece."""
+    """Two tasks the draw-keyed kernel runs (six and four calibration
+    runs), 64 runs each: four 16-run spans apiece."""
     nsfe = OptNSfeProtocol(make_concat(3, 8))
     watch = fixed("lock-watch[0]", lambda: LockWatchingAborter({0}))
     two = Opt2SfeProtocol(make_swap(16))
@@ -126,18 +126,18 @@ def _tasks():
 def _pinned_stats(make_runner, root):
     """The batch's export after warming the setup memos (so the memo
     counts do not depend on what ran earlier in the process), with a
-    cache that holds the reference task's first span and a journal that
-    holds the kernel task's second span plus one corrupted entry."""
+    cache that holds the second task's first span and a journal that
+    holds the first task's second span plus one corrupted entry."""
     _serial().run(_tasks())
     cache = ChunkCache(root / "cache")
     warm = _tasks()[1]
     warm.n_runs = 16
     _serial(cache=cache).run([warm])
     journal = RunJournal(root / "journal")
-    kernel_task, reference_task = _tasks()
-    journal.record(kernel_task, 16, 32, kernel_task.run_chunk(16, 32))
-    journal.record(reference_task, 32, 48, reference_task.run_chunk(32, 48))
-    torn = entry_path(journal.root, chunk_key(reference_task, 32, 48))
+    first, second = _tasks()
+    journal.record(first, 16, 32, first.run_chunk(16, 32))
+    journal.record(second, 32, 48, second.run_chunk(32, 48))
+    torn = entry_path(journal.root, chunk_key(second, 32, 48))
     torn.write_bytes(torn.read_bytes()[:-3])
     runner = make_runner(cache=cache, journal=journal)
     runner.run(_tasks())
@@ -163,13 +163,14 @@ TIMING = {"wall_clock_s", "executions_per_sec", "setup_s", "execute_s",
 
 PINNED = {
     "n_tasks": 2, "n_chunks": 8, "requested": 128, "executions": 128,
-    "stopped_early": False, "degraded": False, "execution_backend": "mixed",
+    "stopped_early": False, "degraded": False,
+    "execution_backend": "vectorized",
     "failed_attempts": 0, "retries": 0, "timeouts": 0, "serial_replays": 0,
     "cancelled_chunks": 0, "journal_replayed_chunks": 1,
     "journal_appended_chunks": 7, "journal_corrupt_records": 1,
     "cache_corrupt_entries": 0, "cache_write_errors": 0, "cache_hits": 1,
-    "cache_misses": 6, "cache_stores": 6, "memo_hits": 125, "memo_misses": 0,
-    "vectorized_runs": 48, "calibration_runs": 2, "service_dedup_hits": 0,
+    "cache_misses": 6, "cache_stores": 6, "memo_hits": 10, "memo_misses": 0,
+    "vectorized_runs": 96, "calibration_runs": 10, "service_dedup_hits": 0,
     "service_rate_limited": 0,
 }
 
@@ -180,9 +181,9 @@ PINNED_CHUNKS = [
     (0, 32, 48, 1, "ok", "stored", "vectorized"),
     (0, 48, 64, 1, "ok", "stored", "vectorized"),
     (1, 0, 16, 1, "ok", "hit", "cache"),
-    (1, 16, 32, 1, "ok", "stored", "reference"),
-    (1, 32, 48, 1, "ok", "stored", "reference"),
-    (1, 48, 64, 1, "ok", "stored", "reference"),
+    (1, 16, 32, 1, "ok", "stored", "vectorized"),
+    (1, 32, 48, 1, "ok", "stored", "vectorized"),
+    (1, 48, 64, 1, "ok", "stored", "vectorized"),
 ]
 
 

@@ -2,6 +2,7 @@
 determinism (serial vs. process pool), adaptive early stopping, stats,
 jobs resolution, hung honest parties and SIGINT handling."""
 
+import collections
 import threading
 
 import pytest
@@ -515,6 +516,49 @@ class TestForkedWorkers:
         assert forks == []
         assert replayed == first
         assert stats.journal_replayed_chunks == stats.n_chunks == 12
+
+    def test_spans_dropped_around_their_reply_count_their_stores(
+        self, tmp_path
+    ):
+        """A span early stopping drops before its worker replies, and one
+        it drops after, still count the cache entries their workers
+        wrote, and closing the batch keeps no per-span counts."""
+        from repro import metrics
+        from repro.runtime import ChunkCache, run_task_chunk
+        from repro.runtime.runner import ProcessPoolExecutor
+        from repro.runtime.stats import BatchLog
+
+        cache = ChunkCache(tmp_path)
+        task = _dummy_tasks(48)[0]
+        replies = []
+        for start in (16, 32):
+            before = metrics.snapshot()
+            part = run_task_chunk(task, 0, start, start + 16, cache=cache)
+            replies.append((part, None, metrics.delta(before)))
+
+        class FakeWorker:
+            class conn:
+                recv = replies.pop  # the last span's reply first
+
+            def stop(self):
+                pass
+
+        log = BatchLog()
+        runner = ProcessPoolRunner(2, cache=cache, fault=NO_FAULTS)
+        pool = ProcessPoolExecutor(runner, [task], [], log)
+        worker = FakeWorker()
+        pool.flights[worker] = collections.deque(
+            [[(0, 32, 48), 0, None], [(0, 16, 32), 0, None]]
+        )
+        pool.dropped.add((0, 32, 48))
+        pool._reply(worker)  # dropped before its reply
+        pool._reply(worker)
+        pool.dropped.add((0, 16, 32))  # dropped after it
+        pool.close()
+        written = len(list(tmp_path.glob("*/*.json")))
+        assert written == 2
+        assert log.counts["cache_stores"] == written
+        assert not pool.inst
 
 
 # -- hung honest parties -----------------------------------------------------

@@ -22,6 +22,7 @@ fall back.  These tests pin both halves:
 * **footprint** — no ``repro`` entry point imports NumPy.
 """
 
+import copy
 import importlib
 import json
 import random
@@ -33,9 +34,11 @@ from repro.adversaries import (
     AbortAtRound,
     KnownOutputStopper,
     LockWatchingAborter,
+    PassiveAdversary,
     RandomSingleCorruption,
     SignalDeviator,
     fixed,
+    strategy_space_for_protocol,
 )
 from repro.analysis import (
     deterministic_payload,
@@ -44,15 +47,18 @@ from repro.analysis import (
     run_stats_to_dict,
 )
 from repro.crypto import prf
-from repro.functions import make_and, make_concat, make_millionaires
+from repro.functions import make_and, make_concat, make_millionaires, make_swap
 from repro.gmw import ThresholdGmwProtocol
 from repro.protocols import (
+    DummyProtocol,
     GordonKatzProtocol,
     GradualReleaseProtocol,
+    Opt2SfeProtocol,
     OptNSfeProtocol,
     SingleRoundProtocol,
     UnbalancedOptProtocol,
 )
+from repro.protocols.dummy import DummyMachine
 from repro.runtime import (
     BackendError,
     ChunkCache,
@@ -63,7 +69,7 @@ from repro.runtime import (
     resolve_runner,
     vectorizable,
 )
-from repro.runtime.vectorized import SentinelRng, kernel_for
+from repro.runtime.kernels import SentinelRng, kernel_for
 from repro.verify import verify_claims
 from repro.verify.claims import constant_inputs
 
@@ -174,6 +180,113 @@ def test_exact_equivalence_over_random_seeds(config, label, n_runs):
     assert checked == N_SEEDS
 
 
+# The fresh-job catalogue of perfbench/servemix.py (every strategy
+# against every protocol) and the protocols of its sweep jobs.
+SERVE_MIX_PROTOCOLS = (
+    "pi1", "pi2", "pi2-ideal-coin", "opt-2sfe", "single-round", "dummy",
+    "gradual-release",
+)
+SERVE_MIX_STRATEGIES = (
+    "passive[0]", "passive[1]", "lock-watch[0]", "lock-watch[1]",
+    "abort@r0[0]", "abort@r1[0]", "abort@r2[0]", "abort@r1[1]",
+)
+SWEEP_PROTOCOLS = ("pi1", "pi2", "opt-2sfe", "single-round", "dummy")
+
+
+def _serve_mix_pairs():
+    from repro.cli import _protocol_registry
+    from repro.runtime.codec import resolve_strategy
+
+    registry = _protocol_registry(2)
+    pairs = {
+        (p, s): resolve_strategy(s)
+        for p in SERVE_MIX_PROTOCOLS for s in SERVE_MIX_STRATEGIES
+    }
+    for p in SWEEP_PROTOCOLS:
+        for factory in strategy_space_for_protocol(registry[p]):
+            pairs.setdefault((p, factory.name), factory)
+    return registry, pairs
+
+
+SERVE_MIX_REGISTRY, SERVE_MIX_PAIRS = _serve_mix_pairs()
+
+
+@pytest.mark.parametrize(
+    "protocol,strategy", sorted(SERVE_MIX_PAIRS),
+    ids=[f"{p}-{s}" for p, s in sorted(SERVE_MIX_PAIRS)],
+)
+def test_serve_mix_pairs_run_on_the_draw_keyed_kernel(protocol, strategy):
+    """Every RNG-free pair the service benchmark sends has a kernel, and
+    ``auto`` gives the reference engine's counts, corruption-set order
+    included, at two seeds."""
+    for seed in ("serve-mix-a", "serve-mix-b"):
+        task = ExecutionTask(
+            SERVE_MIX_REGISTRY[protocol], SERVE_MIX_PAIRS[protocol, strategy],
+            128, seed=(seed, protocol, strategy),
+        )
+        assert vectorizable(task)
+        ref = SerialRunner(cache=None, backend="reference").run_one(task)
+        runner = SerialRunner(cache=None, backend="auto")
+        got = runner.run_one(task)
+        assert ref.counts == got.counts, seed
+        assert list(ref.corruption_counts.items()) == list(
+            got.corruption_counts.items()
+        ), seed
+        assert runner.last_stats.vectorized_runs == 128
+
+
+class _CopyPeekMachine(DummyMachine):
+    """Peeks at a small draw on a deep copy of its stream."""
+
+    def on_round(self, round_no, inbox, ctx):
+        if round_no == 0:
+            copy.deepcopy(ctx.rng).randrange(4)
+        super().on_round(round_no, inbox, ctx)
+
+
+class _ValueLabelledMachine(DummyMachine):
+    """Draws its second small value from a stream its first one names."""
+
+    def on_round(self, round_no, inbox, ctx):
+        if round_no == 0:
+            first = ctx.rng.randrange(2)
+            ctx.rng.fork(f"second-{first}").randrange(2)
+        super().on_round(round_no, inbox, ctx)
+
+
+class _ValueCountedMachine(DummyMachine):
+    """Makes one more (large) draw when its first draw is below 1/2."""
+
+    def on_round(self, round_no, inbox, ctx):
+        if round_no == 0 and ctx.rng.random() < 0.5:
+            ctx.rng.randbytes(8)
+        super().on_round(round_no, inbox, ctx)
+
+
+@pytest.mark.parametrize(
+    "machine", [_CopyPeekMachine, _ValueLabelledMachine, _ValueCountedMachine]
+)
+def test_unreplayable_draws_leave_the_task_on_the_engine(machine):
+    """A run whose draws a replay cannot find (made on a copy, on a
+    stream named by an earlier draw, or more of them when a large draw
+    says so) leaves its task on the engine."""
+
+    class Toy(DummyProtocol):
+        def build_machines(self, rng):
+            return [machine(i, self.n_parties) for i in range(self.n_parties)]
+
+    task = ExecutionTask(
+        Toy(make_and()), fixed("passive[0]", lambda: PassiveAdversary({0})),
+        32, seed=("vec-refusal", machine.__name__),
+    )
+    assert not vectorizable(task)
+    ref = SerialRunner(cache=None, backend="reference").run_one(task)
+    runner = SerialRunner(cache=None, backend="auto")
+    assert runner.run_one(task) == ref
+    assert runner.last_stats.execution_backend == "reference"
+    assert runner.last_stats.vectorized_runs == 0
+
+
 def _gk_task(n_runs=32, seed="vec-dispatch"):
     return ExecutionTask(
         GordonKatzProtocol(make_and(), p=2),
@@ -227,7 +340,10 @@ def _opaque_sampler(rng):
     return tuple(rng.randrange(256) for _ in range(3))
 
 
-# Each case leaves one gate of the priv-sfe kernel unmet.
+# Each case leaves one gate of the kernels unmet: an RNG-consuming
+# factory, a custom input sampler, and a signal deviator, whose release
+# coin comes from the stream of the party i* names (which stream a run
+# reads depends on a draw's value).
 PRIV_SFE_FALLBACKS = {
     "rng-consuming": (
         OptNSfeProtocol, lambda rng: RandomSingleCorruption(3, rng), None,
@@ -235,7 +351,6 @@ PRIV_SFE_FALLBACKS = {
     "signal-deviator": (
         UnbalancedOptProtocol, fixed("sd0", lambda: SignalDeviator({0})), None,
     ),
-    "all-parties": (OptNSfeProtocol, _lock_watch({0, 1, 2}), None),
     "custom-sampler": (OptNSfeProtocol, _lock_watch({0}), _opaque_sampler),
 }
 
@@ -252,6 +367,22 @@ def test_priv_sfe_ineligible_tasks_fall_back_to_reference(case):
     runner.run_one(task)
     assert runner.last_stats.execution_backend == "reference"
     assert runner.last_stats.vectorized_runs == 0
+
+
+def test_all_parties_lock_watcher_matches_the_engine():
+    """A coalition of every party, which the per-protocol priv-sfe kernel
+    refused, is keyed on its draws like any other task."""
+    task = ExecutionTask(
+        OptNSfeProtocol(make_concat(3, 8)), _lock_watch({0, 1, 2}), 16,
+        seed=("vec-priv-sfe", "all-parties"),
+    )
+    assert vectorizable(task)
+    ref = SerialRunner(cache=None, backend="reference").run_one(task)
+    runner = SerialRunner(cache=None, backend="auto")
+    got = runner.run_one(task)
+    assert ref == got
+    assert list(ref.corruption_counts) == list(got.corruption_counts)
+    assert runner.last_stats.vectorized_runs == 16
 
 
 @pytest.mark.parametrize("protocol_class", [
@@ -383,8 +514,8 @@ def test_pool_builds_no_kernel_for_a_fully_journaled_task(tmp_path):
 
 
 def test_calibration_runs_are_counted_on_both_venues():
-    """The two engine runs that calibrate a ΠOptnSFE lock-watcher kernel
-    (one per value of "i* in the coalition") land in the batch stats,
+    """The six engine runs that calibrate a ΠOptnSFE lock-watcher kernel
+    (two per value of i*, run 0 among them) land in the batch stats,
     in the chunk that built the kernel on the serial venue and in the
     pool's parent, which builds it before forking."""
     def task():
@@ -400,8 +531,8 @@ def test_calibration_runs_are_counted_on_both_venues():
     for runner in (serial, pool):
         runner.run_one(task())
         assert runner.last_stats.execution_backend == "vectorized"
-        assert runner.last_stats.calibration_runs == 2
-        assert run_stats_to_dict(runner.last_stats)["calibration_runs"] == 2
+        assert runner.last_stats.calibration_runs == 6
+        assert run_stats_to_dict(runner.last_stats)["calibration_runs"] == 6
     assert pool.last_stats.backend == "process-pool"
 
 
@@ -457,7 +588,9 @@ def test_pool_auto_keeps_release_kernels_on_narrow_chunks():
     assert {c.engine for c in pool.last_stats.chunks} == {"vectorized"}
 
 
-# One task per kernel family, in the family's matcher's own terms.
+# One task per protocol family a kernel covers, and the kernel module
+# that covers it.
+KERNEL_MODULES = {"gordon_katz": "gordon_katz"}
 KERNEL_FAMILIES = {
     "gordon_katz": lambda: (
         GordonKatzProtocol(make_and(), p=2),
@@ -470,6 +603,9 @@ KERNEL_FAMILIES = {
     ),
     "priv_sfe": lambda: (
         OptNSfeProtocol(make_concat(4, 8)), _lock_watch({0, 1}), None,
+    ),
+    "opt_2sfe": lambda: (
+        Opt2SfeProtocol(make_swap(16)), _lock_watch({0}), None,
     ),
 }
 
@@ -492,7 +628,7 @@ def test_kernel_chunk_needs_fewer_digests_than_the_engine(
     )
     kernel = kernel_for(task)
     matcher = importlib.import_module(
-        f"repro.runtime.vectorized.kernels.{family}"
+        f"repro.runtime.kernels.{KERNEL_MODULES.get(family, 'draw_keyed')}"
     ).matcher
     assert matcher(task, factory(SentinelRng())) is not None
 
